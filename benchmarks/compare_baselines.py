@@ -1,8 +1,8 @@
 """Guard the committed benchmark baselines against silent regressions.
 
 The repo commits full-scale benchmark results (``BENCH_failover.json``,
-``BENCH_wire_format.json``, ``BENCH_quorum.json``,
-``BENCH_scenarios.json``) as the performance record of each release.  This script compares the working-tree copies
+``BENCH_quorum.json``, ``BENCH_scenarios.json``) as the performance
+record of each release.  This script compares the working-tree copies
 against the versions committed at a git ref (default ``HEAD``) and
 fails when a headline metric regressed past the tolerance:
 
@@ -46,11 +46,6 @@ BASELINES = {
         ("kill_to_first_success_seconds", "lower"),
         ("failed_calls", "zero"),
         ("double_grants", "zero"),
-    ],
-    "BENCH_wire_format.json": [
-        ("binary_v3.requests_per_second", "higher"),
-        ("binary_v3.bytes_per_renewal", "lower"),
-        ("json_v2.bytes_per_renewal", "lower"),
     ],
     "BENCH_scenarios.json": [
         # The adaptive fleet must serve the whole flash crowd: a single

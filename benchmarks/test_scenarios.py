@@ -178,7 +178,7 @@ def _fleet_url(ports):
     # admission path is part of what this bench proves).
     authority = ",".join(f"127.0.0.1:{port}" for port in ports)
     return (f"sl+sharded://{authority}"
-            f"?wire=3&io=async&batch_window=0.002"
+            f"?io=async&batch_window=0.002"
             f"&timeout=60&replicas={REPLICAS}")
 
 

@@ -48,27 +48,18 @@ def cmd_workloads(_args) -> int:
     return 0
 
 
-def _endpoint_with_wire(endpoint: Optional[str],
-                        wire: Optional[int],
-                        batch_window: Optional[float]) -> Optional[str]:
-    """Fold ``--wire``/``--batch-window`` into an endpoint URL's query."""
-    if endpoint is None:
-        return None
-    params = []
-    if wire is not None:
-        params.append(f"wire={wire}")
-    if batch_window is not None:
-        params.append(f"batch_window={batch_window}")
-    if not params:
+def _endpoint_with_batch_window(endpoint: Optional[str],
+                                batch_window: Optional[float]) -> Optional[str]:
+    """Fold ``--batch-window`` into an endpoint URL's query."""
+    if endpoint is None or batch_window is None:
         return endpoint
     separator = "&" if "?" in endpoint else "?"
-    return endpoint + separator + "&".join(params)
+    return f"{endpoint}{separator}batch_window={batch_window}"
 
 
 def cmd_run(args) -> int:
     workload = get_workload(args.workload, seed=args.seed)
-    endpoint = _endpoint_with_wire(args.endpoint, args.wire,
-                                   args.batch_window)
+    endpoint = _endpoint_with_batch_window(args.endpoint, args.batch_window)
     deployment = SecureLeaseDeployment(seed=args.seed,
                                        tokens_per_attestation=args.tokens,
                                        transport=args.transport,
@@ -146,8 +137,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    endpoint = _endpoint_with_wire(args.endpoint, args.wire,
-                                   args.batch_window)
+    endpoint = _endpoint_with_batch_window(args.endpoint, args.batch_window)
     cluster = Cluster(seed=args.seed, transport=args.transport,
                       shards=args.shards, endpoint=endpoint)
     cluster.issue_license("lic-fleet", args.units)
@@ -396,14 +386,12 @@ def cmd_serve_remote(args) -> int:
         server = AsyncLeaseServer(remote, host=args.host, port=args.port,
                                   max_workers=args.max_workers,
                                   max_connections=args.max_connections,
-                                  extra_handlers=extra_handlers,
-                                  wire=args.wire)
+                                  extra_handlers=extra_handlers)
     else:
         server = LeaseServer(remote, host=args.host, port=args.port,
                              serialize_dispatch=args.serialize_dispatch,
                              max_connections=args.max_connections,
-                             extra_handlers=extra_handlers,
-                             wire=args.wire)
+                             extra_handlers=extra_handlers)
     if manager is not None:
         # Standalone shard: the manager (not the remote) holds the
         # replication health that _server_stats surfaces.
@@ -484,12 +472,10 @@ def cmd_stats(args) -> int:
     parsed = parse_endpoint(args.endpoint)
     io = dict(parsed.params).get("io", "threads")
     scheme = "sl+async" if io == "async" else "sl"
-    wire = dict(parsed.params).get("wire")
-    suffix = f"?io={io}" + (f"&wire={wire}" if wire else "")
     reports = {}
     for host, port in parsed.addresses:
         address = f"{host}:{port}"
-        endpoint = connect(f"{scheme}://{address}{suffix}")
+        endpoint = connect(f"{scheme}://{address}?io={io}")
         try:
             raw = endpoint.call("_server_stats", None, clock=Clock())
         finally:
@@ -599,11 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="connect to SL-Remote via an endpoint URL "
                                  "(sl://, sl+async://, sl+sharded://); "
                                  "overrides --transport")
-    run_parser.add_argument("--wire", type=int, choices=(1, 2, 3),
-                            default=None,
-                            help="preferred wire format for --endpoint "
-                                 "(3 negotiates binary frames, 1/2 stay "
-                                 "on JSON); same as a wire= query param")
     run_parser.add_argument("--batch-window", type=float, default=None,
                             metavar="SECONDS",
                             help="coalesce concurrent renewals for up to "
@@ -642,10 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="sl://HOST:PORT",
                               help="connect every node to SL-Remote via an "
                                    "endpoint URL; overrides --transport")
-    fleet_parser.add_argument("--wire", type=int, choices=(1, 2, 3),
-                              default=None,
-                              help="preferred wire format for --endpoint "
-                                   "(3 negotiates binary frames)")
     fleet_parser.add_argument("--batch-window", type=float, default=None,
                               metavar="SECONDS",
                               help="coalesce concurrent renewals into "
@@ -679,12 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="explicit shard names for --shard-of "
                                    "(default: shard-0..shard-N-1; all fleet "
                                    "members must agree)")
-    serve_parser.add_argument("--wire", type=int, choices=(1, 2, 3),
-                              default=3,
-                              help="highest wire format this server will "
-                                   "negotiate: 3 accepts binary v3 frames "
-                                   "from upgraded clients, 1/2 pin the "
-                                   "fleet to the JSON formats")
+    serve_parser.add_argument("--wire", type=int, choices=(3,), default=3,
+                              help="the one wire format; accepted only "
+                                   "because bench/harness.py passes it")
     serve_parser.add_argument("--io", choices=("threads", "async"),
                               default="threads",
                               help="connection model: one thread per "

@@ -4,19 +4,18 @@ Keeping the protocol explicit (rather than direct method calls) lets
 the network layer inject latency and drops, and makes the security
 tests precise about what an attacker on the untrusted path can see.
 
-Every message implements ``to_wire``/``from_wire`` — a JSON-ready field
-dict — so any transport backend (``repro.net.transport``) can serialize
-it through ``repro.net.codec`` and rebuild it on the far side of a real
-socket.  Byte fields travel as hex; nested messages nest their dicts.
+Every message is a frozen dataclass registered with
+``repro.net.codec``, which packs its fields in declaration order — so
+any transport backend (``repro.net.transport``) can serialize it and
+rebuild it on the far side of a real socket.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Optional
 
-from repro.core.tokens import ExecutionToken
 from repro.crypto.sealing import SealedBlob
 from repro.sgx.attestation import AttestationReport
 
@@ -46,42 +45,12 @@ class InitRequest:
     report: AttestationReport
     platform_secret: int  # quoted platform identity
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "slid": self.slid,
-            "report": self.report.to_wire(),
-            "platform_secret": self.platform_secret,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "InitRequest":
-        return cls(
-            slid=fields["slid"],
-            report=AttestationReport.from_wire(fields["report"]),
-            platform_secret=fields["platform_secret"],
-        )
-
 
 @dataclass(frozen=True)
 class InitResponse:
     status: Status
     slid: Optional[int] = None
     old_backup_key: Optional[int] = None  # OBK, None on first init
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "status": self.status.value,
-            "slid": self.slid,
-            "old_backup_key": self.old_backup_key,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "InitResponse":
-        return cls(
-            status=Status(fields["status"]),
-            slid=fields["slid"],
-            old_backup_key=fields["old_backup_key"],
-        )
 
 
 @dataclass(frozen=True)
@@ -93,9 +62,7 @@ class RenewRequest:
     evidence behind them — the client transport's measured round-trip
     EWMA and its cumulative retry/reconnect counters — so SL-Remote can
     weigh a claimed reliability against what the connection actually
-    did.  All telemetry fields default, and decoding uses those defaults
-    when a v1/v2 peer (or an older v3 peer, whose field table is simply
-    shorter) omits them.
+    did.
     """
 
     slid: int
@@ -108,33 +75,6 @@ class RenewRequest:
     retries: int = 0  # transport messages dropped + retried so far
     reconnects: int = 0  # socket re-dials the client has survived
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "slid": self.slid,
-            "license_id": self.license_id,
-            "license_blob": self.license_blob.hex(),
-            "network_reliability": self.network_reliability,
-            "health": self.health,
-            "weight": self.weight,
-            "rtt_seconds": self.rtt_seconds,
-            "retries": self.retries,
-            "reconnects": self.reconnects,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "RenewRequest":
-        return cls(
-            slid=fields["slid"],
-            license_id=fields["license_id"],
-            license_blob=bytes.fromhex(fields["license_blob"]),
-            network_reliability=fields["network_reliability"],
-            health=fields["health"],
-            weight=fields["weight"],
-            rtt_seconds=fields.get("rtt_seconds", 0.0),
-            retries=fields.get("retries", 0),
-            reconnects=fields.get("reconnects", 0),
-        )
-
 
 @dataclass(frozen=True)
 class RenewResponse:
@@ -143,23 +83,6 @@ class RenewResponse:
     lease_kind: str = "count"
     tick_seconds: float = 0.0
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "status": self.status.value,
-            "granted_units": self.granted_units,
-            "lease_kind": self.lease_kind,
-            "tick_seconds": self.tick_seconds,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "RenewResponse":
-        return cls(
-            status=Status(fields["status"]),
-            granted_units=fields["granted_units"],
-            lease_kind=fields["lease_kind"],
-            tick_seconds=fields["tick_seconds"],
-        )
-
 
 @dataclass(frozen=True)
 class ShutdownNotice:
@@ -167,13 +90,6 @@ class ShutdownNotice:
 
     slid: int
     root_key: int
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {"slid": self.slid, "root_key": self.root_key}
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "ShutdownNotice":
-        return cls(slid=fields["slid"], root_key=fields["root_key"])
 
 
 @dataclass(frozen=True)
@@ -194,23 +110,6 @@ class MigratingNotice:
     new_owner: Optional[str] = None
     status: Status = Status.MIGRATING
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "license_id": self.license_id,
-            "retry_after_seconds": self.retry_after_seconds,
-            "new_owner": self.new_owner,
-            "status": self.status.value,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "MigratingNotice":
-        return cls(
-            license_id=fields["license_id"],
-            retry_after_seconds=fields["retry_after_seconds"],
-            new_owner=fields["new_owner"],
-            status=Status(fields["status"]),
-        )
-
 
 @dataclass(frozen=True)
 class BatchRequest:
@@ -225,19 +124,6 @@ class BatchRequest:
 
     requests: tuple  # of RenewRequest, in submission order
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {"requests": [request.to_wire() for request in self.requests]}
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "BatchRequest":
-        return cls(requests=tuple(RenewRequest.from_wire(f)
-                                  for f in fields["requests"]))
-
-
-#: Wire tags for the polymorphic slots of a :class:`BatchResponse`.
-_BATCH_SLOT_TYPES = {"RenewResponse": RenewResponse,
-                     "MigratingNotice": MigratingNotice}
-
 
 @dataclass(frozen=True)
 class BatchResponse:
@@ -249,24 +135,6 @@ class BatchResponse:
     """
 
     responses: tuple  # of RenewResponse | MigratingNotice
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "responses": [
-                {"type": type(slot).__name__, "fields": slot.to_wire()}
-                for slot in self.responses
-            ],
-        }
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "BatchResponse":
-        slots = []
-        for entry in fields["responses"]:
-            slot_cls = _BATCH_SLOT_TYPES.get(entry["type"])
-            if slot_cls is None:
-                raise ValueError(f"unknown batch slot type {entry['type']!r}")
-            slots.append(slot_cls.from_wire(entry["fields"]))
-        return cls(responses=tuple(slots))
 
 
 # ----------------------------------------------------------------------
@@ -281,39 +149,8 @@ class AttestRequest:
     license_blob: bytes
     tokens_requested: int = 1
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "report": self.report.to_wire(),
-            "license_id": self.license_id,
-            "license_blob": self.license_blob.hex(),
-            "tokens_requested": self.tokens_requested,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "AttestRequest":
-        return cls(
-            report=AttestationReport.from_wire(fields["report"]),
-            license_id=fields["license_id"],
-            license_blob=bytes.fromhex(fields["license_blob"]),
-            tokens_requested=fields["tokens_requested"],
-        )
-
 
 @dataclass(frozen=True)
 class AttestResponse:
     status: Status
     token: Optional[object] = None  # ExecutionToken on success
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "status": self.status.value,
-            "token": self.token.to_wire() if self.token is not None else None,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "AttestResponse":
-        token = fields["token"]
-        return cls(
-            status=Status(fields["status"]),
-            token=ExecutionToken.from_wire(token) if token is not None else None,
-        )

@@ -76,28 +76,6 @@ class ExecutionToken:
     def exhausted(self) -> bool:
         return self.grants <= 0
 
-    def to_wire(self) -> dict:
-        """JSON-ready field dict for the wire codec (``repro.net.codec``)."""
-        return {
-            "license_id": self.license_id,
-            "lease_id": self.lease_id,
-            "nonce": self.nonce,
-            "grants": self.grants,
-            "initial_grants": self.initial_grants,
-            "mac": self.mac,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: dict) -> "ExecutionToken":
-        return cls(
-            license_id=fields["license_id"],
-            lease_id=fields["lease_id"],
-            nonce=fields["nonce"],
-            grants=fields["grants"],
-            initial_grants=fields["initial_grants"],
-            mac=fields["mac"],
-        )
-
 
 def _token_mac(license_id: str, lease_id: int, nonce: int, grants: int,
                secret: int) -> int:

@@ -39,18 +39,6 @@ class SealedBlob:
     def size_bytes(self) -> int:
         return len(self.ciphertext) + len(self.nonce)
 
-    def to_wire(self) -> dict:
-        """JSON-ready field dict so sealed images can cross a real wire
-        (e.g. escrowing a shutdown image with SL-Remote)."""
-        return {"ciphertext": self.ciphertext.hex(), "nonce": self.nonce.hex()}
-
-    @classmethod
-    def from_wire(cls, fields: dict) -> "SealedBlob":
-        return cls(
-            ciphertext=bytes.fromhex(fields["ciphertext"]),
-            nonce=bytes.fromhex(fields["nonce"]),
-        )
-
 
 def protect(data: bytes, keygen: KeyGenerator) -> "tuple[SealedBlob, int]":
     """Seal ``data`` under a fresh 64-bit key (paper Algorithm 2).

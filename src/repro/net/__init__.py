@@ -6,7 +6,8 @@ breakdown separates local allocation cost from lease-renewal cost
 package supplies:
 
 * a latency/reliability-parameterised channel (:mod:`repro.net.network`),
-* a versioned wire codec for every protocol message (:mod:`repro.net.codec`),
+* the wire codec for every protocol message — one CRC-checked binary
+  format (:mod:`repro.net.codec`),
 * pluggable transports — in-process, serialized loopback, and real TCP —
   behind one :class:`~repro.net.transport.Transport` interface
   (:mod:`repro.net.transport`),
@@ -30,12 +31,7 @@ package supplies:
 """
 
 from repro.net.aio import AsyncLeaseServer, AsyncTcpTransport
-from repro.net.codec import (
-    CodecError,
-    RemoteCallError,
-    SUPPORTED_WIRE_VERSIONS,
-    WIRE_VERSION,
-)
+from repro.net.codec import CodecError, RemoteCallError
 from repro.net.endpoint import (
     ENDPOINT_SCHEMES,
     EndpointConfig,
@@ -60,13 +56,7 @@ from repro.net.replication import (
     ReplicationSource,
     ShardSnapshot,
 )
-from repro.net.rpc import (
-    RemoteEndpoint,
-    RpcError,
-    connect_async_tcp,
-    connect_remote,
-    connect_tcp,
-)
+from repro.net.rpc import RemoteEndpoint, RpcError
 from repro.net.server import LeaseServer
 from repro.net.stats import (
     RenewalHealth,
@@ -79,7 +69,6 @@ from repro.net.sharding import (
     ShardRouter,
     ShardRouterTransport,
     ShardedRemote,
-    connect_sharded_tcp,
     default_shard_names,
 )
 from repro.net.transport import (
@@ -121,7 +110,6 @@ __all__ = [
     "RetriesExhausted",
     "RpcError",
     "ServerStats",
-    "SUPPORTED_WIRE_VERSIONS",
     "SerializedLoopbackTransport",
     "ShardRouter",
     "ShardRouterTransport",
@@ -133,12 +121,7 @@ __all__ = [
     "Transport",
     "TransportError",
     "UnknownMethodError",
-    "WIRE_VERSION",
     "connect",
-    "connect_async_tcp",
-    "connect_remote",
-    "connect_sharded_tcp",
-    "connect_tcp",
     "default_shard_names",
     "endpoint_for",
     "format_endpoint",

@@ -19,16 +19,16 @@ callback and nothing else:
 * :class:`AsyncTcpTransport` — a drop-in
   :class:`~repro.net.transport.Transport` that keeps **multiple
   requests in flight on one socket**.  Each request envelope is tagged
-  with a correlation id in the codec-v2 envelope metadata
+  with a correlation id in the envelope metadata
   (:data:`~repro.net.codec.CORRELATION_KEY`); a background reader
   matches responses back to callers whatever order they return in.
   Transports share one module-level event-loop thread, so a hundred
   client handles cost one thread, not a hundred.
 
-Ordering contract (how v1 peers stay compatible)
-------------------------------------------------
-A request **without** a correlation tag — a v1 peer, or the strict-
-ordered :class:`~repro.net.transport.TcpTransport` — is dispatched and
+Ordering contract
+-----------------
+A request **without** a correlation tag — the strict-ordered
+:class:`~repro.net.transport.TcpTransport` — is dispatched and
 answered before the next frame of that connection is read, exactly like
 the threaded server, so position-matching clients never see a reorder.
 A request **with** a tag runs concurrently and its response carries the
@@ -63,10 +63,8 @@ from repro.net.errors import (
 )
 from repro.core.protocol import BatchRequest, BatchResponse
 from repro.net.server import (
-    ConnectionWire,
     WireStats,
     attach_server_stats,
-    negotiate_hello,
     overload_frame,
 )
 from repro.net.transport import (
@@ -101,17 +99,11 @@ class AsyncLeaseServer:
                  accept_backlog: int = 128,
                  max_workers: int = 8,
                  max_connections: Optional[int] = None,
-                 extra_handlers=None,
-                 wire: int = codec.WIRE_V3) -> None:
+                 extra_handlers=None) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         if max_connections is not None and max_connections < 1:
             raise ValueError("max_connections must be at least 1")
-        if wire not in codec.SUPPORTED_WIRE_VERSIONS:
-            raise ValueError(
-                f"unknown wire version {wire!r}; supported: "
-                f"{codec.SUPPORTED_WIRE_VERSIONS}"
-            )
         self.remote = remote
         self.handlers = HandlerTable(remote.protocol_handlers())
         for method, handler in (extra_handlers or {}).items():
@@ -123,9 +115,6 @@ class AsyncLeaseServer:
         self.accept_backlog = accept_backlog
         self.max_workers = max_workers
         self.max_connections = max_connections
-        #: Negotiation ceiling: the highest wire version this server
-        #: will agree to in a hello exchange.
-        self.wire = wire
         self.wire_stats = WireStats()
         self.requests_served = 0
         self.errors_returned = 0
@@ -259,7 +248,6 @@ class AsyncLeaseServer:
             self._conn_tasks.add(this_task)
         write_lock = asyncio.Lock()
         in_flight: set = set()
-        conn_wire = ConnectionWire()
         try:
             while True:
                 try:
@@ -278,10 +266,6 @@ class AsyncLeaseServer:
                 self.wire_stats.note_decoded(
                     len(data) + codec.FRAME_HEADER.size
                 )
-                # Replies speak whatever format the request arrived in
-                # (same contract as the threaded server).
-                reply_version = (codec.WIRE_V3 if codec.is_binary_frame(data)
-                                 else codec.WIRE_VERSION)
                 try:
                     method, payload, request_id, meta = \
                         codec.decode_request_envelope(data)
@@ -293,44 +277,13 @@ class AsyncLeaseServer:
                     self.errors_returned += 1
                     await self._write(writer, write_lock, codec.encode_error(
                         f"{type(exc).__name__}: {exc}", 0,
-                        version=reply_version,
                     ))
                     continue
                 corr = meta.get(codec.CORRELATION_KEY)
-                if method == codec.HELLO_METHOD:
-                    # Negotiation is pure loop-side state — answer inline
-                    # without burning an executor slot.
-                    hello_meta = ({codec.CORRELATION_KEY: corr}
-                                  if corr is not None else None)
-                    try:
-                        response = negotiate_hello(
-                            payload, self.wire, conn_wire, self.wire_stats
-                        )
-                    except Exception as exc:  # noqa: BLE001
-                        self.errors_returned += 1
-                        reply = codec.encode_error(
-                            f"{type(exc).__name__}: {exc}", request_id,
-                            meta=hello_meta, version=reply_version,
-                        )
-                    else:
-                        self.requests_served += 1
-                        reply = codec.encode_response(
-                            response, request_id,
-                            meta=hello_meta, version=reply_version,
-                        )
-                    await self._write(writer, write_lock, reply)
-                    continue
-                if not conn_wire.recorded:
-                    # First lease frame from a peer that skipped
-                    # negotiation: record the version it is observed
-                    # speaking.
-                    conn_wire.record(self.wire_stats,
-                                     codec.wire_version_of(data))
                 if method == "renew_batch" and hasattr(payload, "requests"):
                     self.wire_stats.note_batch(len(payload.requests))
                 handling = self._respond(
                     method, payload, request_id, corr, writer, write_lock,
-                    reply_version,
                 )
                 if corr is None:
                     # Strict-ordered mode: a peer that did not tag the
@@ -342,6 +295,13 @@ class AsyncLeaseServer:
                     task = asyncio.get_running_loop().create_task(handling)
                     in_flight.add(task)
                     task.add_done_callback(in_flight.discard)
+        except asyncio.CancelledError:
+            # stop() cancels every connection task; finishing normally
+            # then keeps asyncio's client_connected_cb done-callback
+            # from calling exception() on a cancelled task and logging
+            # one traceback per open connection.
+            if not self._stopping.is_set():
+                raise
         finally:
             for task in in_flight:
                 task.cancel()
@@ -356,8 +316,7 @@ class AsyncLeaseServer:
 
     async def _respond(self, method: str, payload: Any, request_id: int,
                        corr: Optional[Any], writer: asyncio.StreamWriter,
-                       write_lock: asyncio.Lock,
-                       reply_version: int = codec.WIRE_VERSION) -> None:
+                       write_lock: asyncio.Lock) -> None:
         meta = {codec.CORRELATION_KEY: corr} if corr is not None else None
         try:
             response = await asyncio.get_running_loop().run_in_executor(
@@ -367,12 +326,10 @@ class AsyncLeaseServer:
             self.errors_returned += 1
             reply = codec.encode_error(
                 f"{type(exc).__name__}: {exc}", request_id, meta=meta,
-                version=reply_version,
             )
         else:
             self.requests_served += 1
-            reply = codec.encode_response(response, request_id, meta=meta,
-                                          version=reply_version)
+            reply = codec.encode_response(response, request_id, meta=meta)
         await self._write(writer, write_lock, reply)
 
     def _dispatch(self, method: str, payload: Any):
@@ -430,7 +387,7 @@ class AsyncTcpTransport(Transport):
     and the shard router call it exactly like
     :class:`~repro.net.transport.TcpTransport` — but many caller
     threads can have requests in flight **on the same socket** at once:
-    each request is tagged with a correlation id in the v2 envelope
+    each request is tagged with a correlation id in the envelope
     metadata, and a reader task on the shared client event loop routes
     each response (in whatever order the server finishes them) back to
     the caller that asked.
@@ -495,10 +452,6 @@ class AsyncTcpTransport(Transport):
         #: the latency half of the telemetry renewals carry upstream.
         self.rtt_ewma_seconds = 0.0
         self._closed = False
-        #: Preferred wire version; the connection's actual version is
-        #: negotiated on dial and recorded in ``negotiated_wire``.
-        self.wire = getattr(config, "wire", codec.WIRE_VERSION)
-        self.negotiated_wire: Optional[int] = None
         #: Per-frame link accounting: every physical frame is charged
         #: once with its actual serialized length, so a batch of N
         #: coalesced renewals bills one frame, not N messages.
@@ -644,10 +597,8 @@ class AsyncTcpTransport(Transport):
         self._next_corr += 1
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[corr] = future
-        version = self.negotiated_wire or codec.WIRE_VERSION
         frame = codec.frame(codec.encode_request(
-            method, payload, corr, version=version,
-            meta={codec.CORRELATION_KEY: corr},
+            method, payload, corr, meta={codec.CORRELATION_KEY: corr},
         ))
         try:
             try:
@@ -671,10 +622,6 @@ class AsyncTcpTransport(Transport):
             )
         finally:
             self._pending.pop(corr, None)
-        if reply.kind == "error" and reply.meta.get("overloaded"):
-            # The server answered by shedding this connection (it closes
-            # the socket next; the reader loop's teardown handles that).
-            raise Overloaded(reply.error or "server overloaded")
         return reply.deliver()
 
     async def _ensure_connection(
@@ -705,16 +652,6 @@ class AsyncTcpTransport(Transport):
                     with self._counters_lock:
                         self.reconnects += 1
                 self._ever_connected = True
-                # Negotiate before the reader loop exists: the hello
-                # reply is the only frame ever read outside it.
-                try:
-                    self.negotiated_wire = await self._negotiate(
-                        reader, writer
-                    )
-                except (ConnectionError, OSError, EOFError,
-                        codec.CodecError, Overloaded) as exc:
-                    await self._teardown(exc)
-                    raise
                 self._reader_task = asyncio.get_running_loop().create_task(
                     self._reader_loop(reader)
                 )
@@ -726,47 +663,6 @@ class AsyncTcpTransport(Transport):
                 attempts=self.reconnect_attempts,
             )
 
-    async def _negotiate(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> int:
-        """First exchange on a fresh connection: agree on a wire version.
-
-        Mirrors :meth:`~repro.net.transport.TcpTransport._negotiate`: a
-        preference below v3 skips the hello; a server without a hello
-        handler answers with an unknown-method error, which
-        down-negotiates to v2 JSON.
-        """
-        if self.wire < codec.WIRE_V3:
-            return self.wire
-        frame = codec.frame(codec.encode_request(
-            codec.HELLO_METHOD, codec.hello_payload(self.wire)
-        ))
-        writer.write(frame)
-        await writer.drain()
-        with self._counters_lock:
-            self.bytes_sent += len(frame)
-            self.frames_sent += 1
-        header = await asyncio.wait_for(
-            reader.readexactly(codec.FRAME_HEADER.size),
-            timeout=self.timeout_seconds,
-        )
-        data = await asyncio.wait_for(
-            reader.readexactly(codec.frame_length(header)),
-            timeout=self.timeout_seconds,
-        )
-        with self._counters_lock:
-            self.bytes_received += len(data) + codec.FRAME_HEADER.size
-            self.frames_received += 1
-        reply = codec.decode_reply(data)
-        if reply.kind == "error":
-            if reply.meta.get("overloaded"):
-                raise Overloaded(reply.error or "server overloaded")
-            return codec.WIRE_VERSION  # pre-negotiation server: speak JSON
-        chosen = reply.payload.get("wire") \
-            if isinstance(reply.payload, dict) else None
-        if chosen not in codec.SUPPORTED_WIRE_VERSIONS:
-            raise codec.CodecError(f"server negotiated bogus wire {chosen!r}")
-        return chosen
-
     async def _reader_loop(self, reader: asyncio.StreamReader) -> None:
         """Route incoming frames to whichever caller they correlate to."""
         try:
@@ -777,9 +673,15 @@ class AsyncTcpTransport(Transport):
                     self.bytes_received += len(data) + codec.FRAME_HEADER.size
                     self.frames_received += 1
                 reply = codec.decode_reply(data)
+                if reply.kind == "error" and reply.meta.get("overloaded"):
+                    # The server shed this connection: its brush-off
+                    # answers no request in particular and it closes
+                    # the socket next, so fail every in-flight caller
+                    # with the typed error.
+                    raise Overloaded(reply.error or "server overloaded")
                 # A pipelining server echoes our tag; a strict-ordered
-                # (v1) peer omits it but echoes the request id, which we
-                # set to the same value — either way the reply finds its
+                # peer omits it but echoes the request id, which we set
+                # to the same value — either way the reply finds its
                 # caller.
                 corr = reply.meta.get(codec.CORRELATION_KEY,
                                       reply.request_id)
@@ -787,7 +689,7 @@ class AsyncTcpTransport(Transport):
                 if future is not None and not future.done():
                     future.set_result(reply)
         except (asyncio.IncompleteReadError, ConnectionError, OSError,
-                codec.CodecError) as exc:
+                codec.CodecError, Overloaded) as exc:
             await self._teardown(exc)
         except asyncio.CancelledError:
             raise
@@ -808,10 +710,11 @@ class AsyncTcpTransport(Transport):
             ConnectionError(str(exc))
         for future in list(self._pending.values()):
             if not future.done():
-                if isinstance(error, codec.CodecError):
-                    # Keep the tamper evidence typed: the caller's
-                    # retry loop must see a CodecError (surfaced as
-                    # TamperedFrame), not a retriable ConnectionError.
+                if isinstance(error, (codec.CodecError, Overloaded)):
+                    # Keep the evidence typed: the caller's retry loop
+                    # must see a CodecError (surfaced as TamperedFrame)
+                    # or the server's Overloaded answer, not a
+                    # retriable ConnectionError.
                     future.set_exception(error)
                 else:
                     future.set_exception(

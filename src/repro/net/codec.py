@@ -1,39 +1,31 @@
-"""Versioned wire codec for the three-tier lease protocol.
+"""The wire codec for the three-tier lease protocol.
 
 Everything SL-Local and SL-Remote say to each other can be flattened to
-bytes and rebuilt on the far side: each protocol dataclass implements
-``to_wire``/``from_wire`` (a JSON-ready field dict), and this module
-wraps those payloads in versioned envelopes plus length-prefixed frames
-for stream transports.
-
-The codec is a **per-connection negotiated format registry**: v1/v2 are
-JSON envelopes (v2 adds free-form metadata), v3 is a length-prefixed
-binary format — struct-packed envelope header, raw bytes instead of
-hex, and per-dataclass field tables so a ``RenewRequest`` travels as
-packed values, not repeated key strings.  Peers pick a version during
-the first exchange on a connection (:data:`HELLO_METHOD`); the sniffing
-decoders (:func:`decode_request_envelope` / :func:`decode_reply`)
-accept whichever format arrives, so a server can serve a mixed-version
-fleet on one port.
+bytes and rebuilt on the far side.  There is **one** format: a
+length-prefixed binary frame holding a struct-packed envelope header, a
+CRC-32 over everything after it, raw byte strings, and per-dataclass
+field tables so a ``RenewRequest`` travels as packed values, not
+repeated key strings.  Every frame a peer accepts has passed the
+checksum; nothing is negotiated and nothing is sniffed.
 
 The codec is deliberately strict:
 
-* every envelope carries its wire version; a peer speaking an unknown
-  version is rejected up front instead of mis-parsing fields;
+* a frame must open with :data:`V3_MAGIC` and carry a matching CRC-32,
+  so a flipped or missing byte raises :class:`CodecError` instead of
+  mis-parsing — and can never steer a peer onto a weaker format,
+  because there is none;
 * only registered message types decode (no pickle, no arbitrary code) —
   the untrusted network may corrupt a lease request but cannot smuggle
   objects into the enclave simulation;
-* in v1/v2, byte strings travel as hex, so a frame is printable JSON
-  end to end; v3 frames carry a CRC-32 over the whole envelope, so a
-  flipped or missing byte raises :class:`CodecError` instead of
-  mis-parsing.
+* a message's field count must equal this side's field table, every
+  read is bounds-checked, nesting is depth-limited, and trailing bytes
+  are rejected.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import struct
 import zlib
 from typing import Any, Dict, NamedTuple, Optional, Tuple
@@ -56,50 +48,19 @@ from repro.core.tokens import ExecutionToken
 from repro.crypto.sealing import SealedBlob
 from repro.sgx.attestation import AttestationReport
 
-#: Protocol revision; bumped whenever an envelope or field layout changes.
-#: v2 (the sharding release) adds optional envelope metadata — e.g. a
-#: ``shard`` routing hint — and, from v2 on, decoders tolerate unknown
-#: envelope keys so the client and server can upgrade independently.
-WIRE_VERSION = 2
-
-#: The binary wire revision: length-prefixed frames with a struct-packed
-#: envelope header, CRC-32 integrity, raw byte strings, and field-table
-#: packing for protocol dataclasses.  Never emitted unnegotiated — a
-#: client proposes it via :data:`HELLO_METHOD` first.
+#: The wire revision: the only legal value of the ``version`` keyword
+#: the ``encode_*`` functions keep for their callers.
 WIRE_V3 = 3
 
-#: Wire versions this decoder accepts, across both formats.  v1
-#: envelopes carry the same required keys as v2, so a v2 peer
-#: interoperates with a v1 peer in both directions as long as the v2
-#: side *emits* v1 when talking down (``encode_request(..., version=1)``);
-#: v3 frames are self-describing binary and sniffed by leading magic.
-SUPPORTED_WIRE_VERSIONS = (1, 2, 3)
-
-#: The subset of versions that are JSON envelopes.  A JSON envelope
-#: claiming ``v: 3`` is rejected — v3 is binary-framed only, so a
-#: mislabeled envelope cannot masquerade as the negotiated format.
-JSON_WIRE_VERSIONS = (1, 2)
-
-#: Reserved method name for wire-version negotiation.  The first
-#: exchange on a TCP connection may be a v2-JSON request to this method
-#: with ``{"supported": [...], "preferred": n}``; the server answers
-#: ``{"wire": chosen}`` and records the choice for that connection.
-#: Servers that predate negotiation answer with an unknown-method
-#: error, which clients treat as "speak v2" — down-negotiation costs
-#: one round-trip and never strands a connection.
-HELLO_METHOD = "_wire_hello"
-
-#: Envelope keys with fixed meaning; everything else in a v2 envelope is
-#: free-form metadata (routing hints, correlation ids) that a peer may
-#: ignore entirely — a v1 peer does, and still interoperates.
+#: Names a caller may not use as envelope metadata keys.
 RESERVED_ENVELOPE_KEYS = frozenset({"v", "kind", "id", "method", "body", "error"})
 
 #: Metadata key carrying a pipelining correlation id.  A client that
 #: keeps several requests in flight on one connection tags each request
 #: ``{CORRELATION_KEY: n}``; a pipelining-aware server echoes the tag on
-#: the matching response, which may arrive out of order.  Peers that
-#: ignore metadata (v1, or the threaded server answering in order)
-#: degrade to strict-ordered mode: responses match requests by position.
+#: the matching response, which may arrive out of order.  An untagged
+#: request is answered in strict order: responses match requests by
+#: position.
 CORRELATION_KEY = "corr"
 
 #: Frame header for stream transports: 4-byte big-endian payload length.
@@ -140,7 +101,7 @@ MESSAGE_TYPES = {
 
 
 def register_message_type(cls) -> None:
-    """Allow an additional ``to_wire``/``from_wire`` message on the wire.
+    """Allow an additional dataclass message on the wire.
 
     Used by higher layers (e.g. :mod:`repro.net.replication`) that
     define fleet-internal message types without this module importing
@@ -149,130 +110,40 @@ def register_message_type(cls) -> None:
     taken name is rejected.
     """
     name = cls.__name__
-    if not (hasattr(cls, "to_wire") and hasattr(cls, "from_wire")):
-        raise CodecError(f"{name} lacks to_wire/from_wire")
+    if not dataclasses.is_dataclass(cls):
+        raise CodecError(f"{name} is not a dataclass")
     existing = MESSAGE_TYPES.get(name)
     if existing is not None and existing is not cls:
         raise CodecError(f"message type {name!r} already registered")
     MESSAGE_TYPES[name] = cls
+
 
 #: Enum types allowed on the wire (encoded by value).
 ENUM_TYPES = {cls.__name__: cls for cls in (Status, LeaseKind)}
 
 
 # ----------------------------------------------------------------------
-# Payload encoding: tagged, recursive, JSON-ready
-# ----------------------------------------------------------------------
-def encode_payload(obj: Any) -> Any:
-    """Turn a protocol value into a JSON-serializable structure."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, bytes):
-        return {"__kind__": "bytes", "hex": obj.hex()}
-    if isinstance(obj, tuple):
-        return {"__kind__": "tuple", "items": [encode_payload(x) for x in obj]}
-    if isinstance(obj, list):
-        return {"__kind__": "list", "items": [encode_payload(x) for x in obj]}
-    if isinstance(obj, dict):
-        return {
-            "__kind__": "map",
-            "items": [[encode_payload(k), encode_payload(v)] for k, v in obj.items()],
-        }
-    if isinstance(obj, enum.Enum):
-        name = type(obj).__name__
-        if name not in ENUM_TYPES:
-            raise CodecError(f"enum {name} is not wire-encodable")
-        return {"__kind__": "enum", "type": name, "value": obj.value}
-    name = type(obj).__name__
-    if name in MESSAGE_TYPES and hasattr(obj, "to_wire"):
-        return {"__kind__": "msg", "type": name, "fields": obj.to_wire()}
-    raise CodecError(f"object of type {name} is not wire-encodable")
-
-
-def decode_payload(data: Any) -> Any:
-    """Inverse of :func:`encode_payload`."""
-    if data is None or isinstance(data, (bool, int, float, str)):
-        return data
-    if not isinstance(data, dict) or "__kind__" not in data:
-        raise CodecError(f"malformed payload: {data!r}")
-    kind = data["__kind__"]
-    if kind == "bytes":
-        return bytes.fromhex(data["hex"])
-    if kind == "tuple":
-        return tuple(decode_payload(x) for x in data["items"])
-    if kind == "list":
-        return [decode_payload(x) for x in data["items"]]
-    if kind == "map":
-        return {decode_payload(k): decode_payload(v) for k, v in data["items"]}
-    if kind == "enum":
-        cls = ENUM_TYPES.get(data["type"])
-        if cls is None:
-            raise CodecError(f"unknown enum type {data['type']!r}")
-        return cls(data["value"])
-    if kind == "msg":
-        cls = MESSAGE_TYPES.get(data["type"])
-        if cls is None:
-            raise CodecError(f"unknown message type {data['type']!r}")
-        return cls.from_wire(data["fields"])
-    raise CodecError(f"unknown payload kind {kind!r}")
-
-
-# ----------------------------------------------------------------------
 # Envelopes
 # ----------------------------------------------------------------------
-def _check_version(version: int) -> int:
-    if version not in JSON_WIRE_VERSIONS:
+def _check_version(version: int) -> None:
+    if version != WIRE_V3:
         raise CodecError(
-            f"cannot emit wire version {version!r} as a JSON envelope; "
-            f"supported: {SUPPORTED_WIRE_VERSIONS}"
+            f"cannot emit wire version {version!r}; the only wire is "
+            f"v{WIRE_V3}"
         )
-    return version
-
-
-def _merge_meta(envelope: Dict[str, Any], meta: Optional[Dict[str, Any]],
-                version: int) -> None:
-    """Fold free-form metadata into a v2+ envelope (v1 cannot carry it)."""
-    if not meta or version < 2:
-        return
-    clobbered = RESERVED_ENVELOPE_KEYS.intersection(meta)
-    if clobbered:
-        raise CodecError(
-            f"metadata may not override reserved envelope keys: "
-            f"{sorted(clobbered)}"
-        )
-    envelope.update(meta)
-
-
-def envelope_meta(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """The free-form metadata of a decoded envelope (empty for v1)."""
-    return {key: value for key, value in envelope.items()
-            if key not in RESERVED_ENVELOPE_KEYS}
 
 
 def encode_request(method: str, payload: Any, request_id: int = 0,
-                   version: int = WIRE_VERSION,
+                   version: int = WIRE_V3,
                    meta: Optional[Dict[str, Any]] = None) -> bytes:
-    """A versioned request envelope carrying one protocol message.
+    """A request envelope carrying one protocol message.
 
-    ``version`` selects the emitted wire revision (a v2 peer talks
-    down to a v1 server by emitting 1; a negotiated connection emits
-    :data:`WIRE_V3` binary frames); ``meta`` attaches v2+ routing
-    metadata (e.g. ``{"shard": "shard-2"}`` or a pipelining
-    ``{CORRELATION_KEY: n}``) that decoders ignore unless they route
-    on it.
+    ``meta`` attaches routing metadata (e.g. ``{"shard": "shard-2"}``
+    or a pipelining ``{CORRELATION_KEY: n}``) that decoders ignore
+    unless they route on it.
     """
-    if version == WIRE_V3:
-        return _encode_v3("request", request_id, meta,
-                          method=method, body=payload)
-    envelope: Dict[str, Any] = {
-        "v": _check_version(version),
-        "kind": "request",
-        "id": request_id,
-        "method": method,
-        "body": encode_payload(payload),
-    }
-    _merge_meta(envelope, meta, version)
-    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+    _check_version(version)
+    return _encode_v3("request", request_id, meta, method=method, body=payload)
 
 
 def decode_request(data: bytes) -> Tuple[str, Any, int]:
@@ -284,53 +155,28 @@ def decode_request(data: bytes) -> Tuple[str, Any, int]:
 def decode_request_envelope(data: bytes) -> Tuple[str, Any, int, Dict[str, Any]]:
     """Returns ``(method, payload, request_id, meta)``.
 
-    ``meta`` is the envelope's free-form metadata — empty for v1 peers,
-    which is exactly how a pipelining server knows to answer a client in
-    strict request order.  Accepts both formats: binary v3 frames are
-    sniffed by their leading magic byte, everything else is parsed as a
-    JSON envelope.
+    ``meta`` is the envelope's free-form metadata — without a
+    correlation tag in it, a pipelining server answers the client in
+    strict request order.
     """
-    if is_binary_frame(data):
-        kind, request_id, meta, method, body, _error = _decode_v3(data)
-        if kind != "request":
-            raise CodecError(f"expected a request, got {kind!r}")
-        return method, body, request_id, meta
-    envelope = _load_envelope(data, expected_kind="request")
-    method = envelope.get("method")
-    if not isinstance(method, str):
-        raise CodecError("request envelope missing method")
-    return (method, decode_payload(envelope.get("body")),
-            int(envelope.get("id", 0)), envelope_meta(envelope))
+    kind, request_id, meta, method, body, _error = _decode_v3(data)
+    if kind != "request":
+        raise CodecError(f"expected a request, got {kind!r}")
+    return method, body, request_id, meta
 
 
 def encode_response(payload: Any, request_id: int = 0,
-                    version: int = WIRE_VERSION,
+                    version: int = WIRE_V3,
                     meta: Optional[Dict[str, Any]] = None) -> bytes:
-    if version == WIRE_V3:
-        return _encode_v3("response", request_id, meta, body=payload)
-    envelope: Dict[str, Any] = {
-        "v": _check_version(version),
-        "kind": "response",
-        "id": request_id,
-        "body": encode_payload(payload),
-    }
-    _merge_meta(envelope, meta, version)
-    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+    _check_version(version)
+    return _encode_v3("response", request_id, meta, body=payload)
 
 
 def encode_error(message: str, request_id: int = 0,
-                 version: int = WIRE_VERSION,
+                 version: int = WIRE_V3,
                  meta: Optional[Dict[str, Any]] = None) -> bytes:
-    if version == WIRE_V3:
-        return _encode_v3("error", request_id, meta, error=message)
-    envelope: Dict[str, Any] = {
-        "v": _check_version(version),
-        "kind": "error",
-        "id": request_id,
-        "error": message,
-    }
-    _merge_meta(envelope, meta, version)
-    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+    _check_version(version)
+    return _encode_v3("error", request_id, meta, error=message)
 
 
 class WireReply(NamedTuple):
@@ -355,37 +201,16 @@ class WireReply(NamedTuple):
 
 
 def decode_reply(data: bytes) -> WireReply:
-    """Decode a response **or** error envelope without raising on errors.
-
-    Sniffs the format: binary v3 frames and JSON envelopes both decode
-    to the same :class:`WireReply`.
-    """
-    if is_binary_frame(data):
-        kind, request_id, meta, _method, body, error = _decode_v3(data)
-        if kind == "error":
-            return WireReply(kind="error", payload=None,
-                             error=error or "unspecified remote error",
-                             request_id=request_id, meta=meta)
-        if kind != "response":
-            raise CodecError(f"expected a response, got {kind!r}")
-        return WireReply(kind="response", payload=body, error=None,
-                         request_id=request_id, meta=meta)
-    envelope = _load_envelope(data)
-    kind = envelope["kind"]
+    """Decode a response **or** error envelope without raising on errors."""
+    kind, request_id, meta, _method, body, error = _decode_v3(data)
     if kind == "error":
-        return WireReply(
-            kind="error", payload=None,
-            error=envelope.get("error", "unspecified remote error"),
-            request_id=int(envelope.get("id", 0)),
-            meta=envelope_meta(envelope),
-        )
+        return WireReply(kind="error", payload=None,
+                         error=error or "unspecified remote error",
+                         request_id=request_id, meta=meta)
     if kind != "response":
         raise CodecError(f"expected a response, got {kind!r}")
-    return WireReply(
-        kind="response", payload=decode_payload(envelope.get("body")),
-        error=None, request_id=int(envelope.get("id", 0)),
-        meta=envelope_meta(envelope),
-    )
+    return WireReply(kind="response", payload=body, error=None,
+                     request_id=request_id, meta=meta)
 
 
 def decode_response(data: bytes) -> Any:
@@ -394,37 +219,11 @@ def decode_response(data: bytes) -> Any:
     return decode_reply(data).deliver()
 
 
-def _load_envelope(data: bytes, expected_kind: str = "") -> Dict[str, Any]:
-    try:
-        envelope = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"undecodable envelope: {exc}") from exc
-    if not isinstance(envelope, dict):
-        raise CodecError("envelope must be a JSON object")
-    version = envelope.get("v")
-    if version not in JSON_WIRE_VERSIONS:
-        # Bump-tolerant decoding: every still-supported JSON revision is
-        # accepted (v1 envelopes are a strict subset of v2), so peers
-        # upgrade independently; anything else — including a JSON
-        # envelope claiming the binary-only v3 — is rejected up front.
-        raise CodecError(
-            f"wire version mismatch: got {version!r}, "
-            f"speak {JSON_WIRE_VERSIONS} in JSON envelopes "
-            f"(v{WIRE_V3} is binary-framed)"
-        )
-    kind = envelope.get("kind")
-    if kind not in ("request", "response", "error"):
-        raise CodecError(f"unknown envelope kind {kind!r}")
-    if expected_kind and kind != expected_kind:
-        raise CodecError(f"expected a {expected_kind}, got {kind!r}")
-    return envelope
-
-
 # ----------------------------------------------------------------------
-# Wire v3: struct-packed binary envelopes with field-table payloads
+# The binary format: struct-packed envelopes with field-table payloads
 # ----------------------------------------------------------------------
-#: First byte of every v3 frame.  JSON envelopes always start with
-#: ``{`` (0x7B), so one byte disambiguates the formats on a shared port.
+#: First byte of every frame; anything else is rejected before the CRC
+#: is even computed.
 V3_MAGIC = 0xB3
 
 #: Fixed envelope prefix: magic byte + CRC-32 of everything after it.
@@ -443,24 +242,21 @@ _V3_KIND_NAMES = {code: kind for kind, code in _V3_KIND_CODES.items()}
 _T_NONE, _T_FALSE, _T_TRUE = 0x00, 0x01, 0x02
 _T_INT, _T_FLOAT, _T_STR, _T_BYTES = 0x03, 0x04, 0x05, 0x06
 _T_LIST, _T_TUPLE, _T_MAP = 0x07, 0x08, 0x09
-_T_ENUM, _T_MSG, _T_MSG_WIRE = 0x0A, 0x0B, 0x0C
+_T_ENUM, _T_MSG = 0x0A, 0x0B
 
 _U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 
-#: Message name -> ordered field names, for dataclass messages.  The
-#: field table is the v3 answer to JSON's repeated key strings: both
-#: sides derive the same column order from the dataclass definition, so
-#: only *values* travel.  Non-dataclass messages (none today, but the
-#: registry is open) fall back to shipping their ``to_wire()`` dict.
+#: Message name -> ordered field names.  Both sides derive the same
+#: column order from the dataclass definition, so only *values* travel.
 _FIELD_TABLES: Dict[str, Tuple[str, ...]] = {}
 
 
-def _field_table(cls) -> Optional[Tuple[str, ...]]:
+def _field_table(cls) -> Tuple[str, ...]:
     table = _FIELD_TABLES.get(cls.__name__)
-    if table is None and dataclasses.is_dataclass(cls):
+    if table is None:
         table = tuple(f.name for f in dataclasses.fields(cls))
         _FIELD_TABLES[cls.__name__] = table
     return table
@@ -516,19 +312,14 @@ def _write_value(buf: bytearray, obj: Any) -> None:
         _write_value(buf, obj.value)
     else:
         name = type(obj).__name__
-        if name not in MESSAGE_TYPES or not hasattr(obj, "to_wire"):
+        if MESSAGE_TYPES.get(name) is not type(obj):
             raise CodecError(f"object of type {name} is not wire-encodable")
         table = _field_table(type(obj))
-        if table is not None:
-            buf.append(_T_MSG)
-            _write_str(buf, name)
-            buf += _U8.pack(len(table))
-            for field_name in table:
-                _write_value(buf, getattr(obj, field_name))
-        else:
-            buf.append(_T_MSG_WIRE)
-            _write_str(buf, name)
-            _write_value(buf, obj.to_wire())
+        buf.append(_T_MSG)
+        _write_str(buf, name)
+        buf += _U8.pack(len(table))
+        for field_name in table:
+            _write_value(buf, getattr(obj, field_name))
 
 
 class _Reader:
@@ -604,34 +395,15 @@ class _Reader:
                 raise CodecError(f"unknown message type {name!r}")
             table = _field_table(cls)
             (count,) = _U8.unpack(self.take(_U8.size))
-            # A *shorter* table than ours means an older peer whose
-            # dataclass predates fields we appended (telemetry grows
-            # this way): accept the prefix and let dataclass defaults
-            # fill the tail — a missing non-defaulted field still fails
-            # construction below.  A longer table would silently drop
-            # the peer's trailing data, so it stays fatal.
-            if table is None or count > len(table):
+            if count != len(table):
                 raise CodecError(
                     f"field table mismatch for {name}: frame has {count} "
-                    f"fields, this side expects "
-                    f"{len(table) if table else 'a wire dict'}"
+                    f"fields, this side expects {len(table)}"
                 )
             values = [self.read_value(depth + 1) for _ in range(count)]
             try:
                 return cls(**dict(zip(table, values)))
             except (TypeError, ValueError) as exc:
-                raise CodecError(f"bad {name} fields: {exc}") from exc
-        if tag == _T_MSG_WIRE:
-            name = self.read_str()
-            cls = MESSAGE_TYPES.get(name)
-            if cls is None:
-                raise CodecError(f"unknown message type {name!r}")
-            fields = self.read_value(depth + 1)
-            if not isinstance(fields, dict):
-                raise CodecError(f"malformed wire dict for {name}")
-            try:
-                return cls.from_wire(fields)
-            except (TypeError, ValueError, KeyError) as exc:
                 raise CodecError(f"bad {name} fields: {exc}") from exc
         raise CodecError(f"unknown v3 value tag {tag:#x}")
 
@@ -693,6 +465,10 @@ def _decode_v3(data: bytes) -> Tuple[str, int, Dict[str, Any],
     if len(data) < _V3_PREFIX.size + _V3_BODY.size:
         raise CodecError(f"truncated v3 frame: {len(data)} bytes")
     magic, crc = _V3_PREFIX.unpack_from(data, 0)
+    if magic != V3_MAGIC:
+        raise CodecError(
+            f"not a v3 frame: leading byte {magic:#04x}, want {V3_MAGIC:#04x}"
+        )
     region = data[_V3_PREFIX.size:]
     if zlib.crc32(region) & 0xFFFFFFFF != crc:
         raise CodecError("v3 frame checksum mismatch (corrupt or truncated)")
@@ -722,51 +498,6 @@ def _decode_v3(data: bytes) -> Tuple[str, int, Dict[str, Any],
             f"v3 frame has {len(region) - reader.pos} trailing bytes"
         )
     return kind, request_id, meta, method, body, error
-
-
-def is_binary_frame(data: bytes) -> bool:
-    """True when ``data`` is a v3 binary envelope (sniffed by magic)."""
-    return bool(data) and data[0] == V3_MAGIC
-
-
-def wire_version_of(data: bytes) -> int:
-    """The wire version a serialized envelope speaks (3 for binary)."""
-    if is_binary_frame(data):
-        return WIRE_V3
-    return int(_load_envelope(data).get("v", 0))
-
-
-# ----------------------------------------------------------------------
-# Negotiation
-# ----------------------------------------------------------------------
-def hello_payload(preferred: int = WIRE_V3) -> Dict[str, Any]:
-    """The client side of the first-exchange version negotiation."""
-    supported = [v for v in SUPPORTED_WIRE_VERSIONS if v <= preferred]
-    if not supported:
-        raise CodecError(f"cannot negotiate from wire version {preferred!r}")
-    return {"supported": supported, "preferred": preferred}
-
-
-def choose_wire_version(offered, ceiling: Optional[int] = None) -> int:
-    """Server-side pick: the highest mutually supported version.
-
-    ``ceiling`` caps the server's willingness (``--wire 2`` keeps a
-    fleet on JSON during a staged rollout); an empty intersection is a
-    :class:`CodecError`, answered to the client as an error envelope.
-    """
-    try:
-        common = [int(v) for v in offered
-                  if int(v) in SUPPORTED_WIRE_VERSIONS
-                  and (ceiling is None or int(v) <= ceiling)]
-    except (TypeError, ValueError) as exc:
-        raise CodecError(f"malformed hello offer {offered!r}") from exc
-    if not common:
-        raise CodecError(
-            f"no common wire version: offered {offered!r}, "
-            f"speak {SUPPORTED_WIRE_VERSIONS}"
-            + (f" capped at {ceiling}" if ceiling is not None else "")
-        )
-    return max(common)
 
 
 # ----------------------------------------------------------------------

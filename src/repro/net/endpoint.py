@@ -1,9 +1,6 @@
 """One way to reach an SL-Remote: URL endpoints and ``connect()``.
 
-Four generations of connect functions grew four copies of the same
-retry/reconnect/backoff knobs (``connect_remote``, ``connect_tcp``,
-``connect_async_tcp``, ``connect_sharded_tcp``).  This module replaces
-the zoo with a single factory taking URL-style endpoints::
+A single factory taking URL-style endpoints::
 
     connect("sl://127.0.0.1:4870")                      # threaded TCP
     connect("sl+async://127.0.0.1:4870")                # pipelining TCP
@@ -13,16 +10,11 @@ the zoo with a single factory taking URL-style endpoints::
     connect("sl+serialized://", remote=remote, link=link)
 
 and one :class:`EndpointConfig` dataclass carrying every transport knob
-exactly once — the validation that used to live in three places
-(``rpc.py``, ``transport.py``, ``aio.py``) now lives in its
-``__post_init__`` and nowhere else.
+exactly once, validated in its ``__post_init__`` and nowhere else.
 
 Precedence: keyword overrides are applied over the base config, then
 URL query parameters over both — what is written in the endpoint string
-is the most explicit statement of intent.  The legacy ``connect_*``
-functions survive as thin deprecated wrappers over this factory and
-produce byte-identical protocol outcomes (the equivalence suite in
-``tests/net/test_endpoint.py`` holds them to that).
+is the most explicit statement of intent.
 """
 
 from __future__ import annotations
@@ -63,9 +55,6 @@ class EndpointConfig:
     on connect, journal from then on); socket schemes reject it — the
     server process owns its own ``--data-dir``.
 
-    ``wire`` is the *preferred* wire version: socket transports propose
-    it during the first exchange on each connection and speak whatever
-    the server picks (``wire=2`` pins a client to JSON envelopes).
     ``batch_window > 0`` turns on renewal coalescing: concurrent
     ``renew`` calls that land on one transport within the window travel
     as a single ``BatchRequest`` frame.
@@ -82,7 +71,6 @@ class EndpointConfig:
     replicas: int = 0
     quorum: int = 0
     data_dir: Optional[str] = None
-    wire: int = 3
     batch_window: float = 0.0
 
     def __post_init__(self) -> None:
@@ -106,10 +94,6 @@ class EndpointConfig:
             raise ValueError("replicas must be >= 0")
         if self.quorum < 0:
             raise ValueError("quorum must be >= 0")
-        if self.wire not in (1, 2, 3):
-            raise ValueError(
-                f"unknown wire version {self.wire!r}; choose 1, 2, or 3"
-            )
         if self.batch_window < 0:
             raise ValueError("batch_window must be >= 0")
 
@@ -132,7 +116,6 @@ _QUERY_FIELDS = {
     "replicas": ("replicas", int),
     "quorum": ("quorum", int),
     "data_dir": ("data_dir", str),
-    "wire": ("wire", int),
     "batch_window": ("batch_window", float),
 }
 
@@ -363,22 +346,3 @@ def endpoint_for(addresses: Sequence[Tuple[str, int]],
         extra.insert(0, ("io", io))
     return format_endpoint("sl+sharded", addresses, shard_names=shard_names,
                            params=extra)
-
-
-def deprecated_connect_warning(old: str, example: str) -> None:
-    """The shared DeprecationWarning for the legacy ``connect_*`` zoo.
-
-    With ``REPRO_STRICT_ENDPOINTS=1`` in the environment the wrappers
-    raise instead of warning, so CI can prove nothing in-repo still
-    depends on them.
-    """
-    import os
-    import warnings
-
-    message = (
-        f"{old} is deprecated; use repro.net.connect({example!r}-style "
-        f"endpoints) instead"
-    )
-    if os.environ.get("REPRO_STRICT_ENDPOINTS") == "1":
-        raise RuntimeError(message)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)

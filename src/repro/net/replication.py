@@ -113,14 +113,6 @@ class ReplicaDelta:
     event: str  # grant | return | writeoff | issue | revoke | escrow | escrow_clear
     fields: Dict[str, Any]
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {"seq": self.seq, "event": self.event, "fields": self.fields}
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "ReplicaDelta":
-        return cls(seq=fields["seq"], event=fields["event"],
-                   fields=fields["fields"])
-
 
 @dataclass(frozen=True)
 class ReplicaBatch:
@@ -140,27 +132,6 @@ class ReplicaBatch:
     deltas: Tuple[ReplicaDelta, ...]
     budgets: Dict[str, int] = field(default_factory=dict)
     epoch: int = 0
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "source": self.source,
-            "budget": self.budget,
-            "deltas": [delta.to_wire() for delta in self.deltas],
-            "budgets": dict(self.budgets),
-            "epoch": self.epoch,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "ReplicaBatch":
-        return cls(
-            source=fields["source"],
-            budget=fields["budget"],
-            deltas=tuple(ReplicaDelta.from_wire(d)
-                         for d in fields["deltas"]),
-            budgets={str(lid): int(units)
-                     for lid, units in fields.get("budgets", {}).items()},
-            epoch=int(fields.get("epoch", 0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -184,28 +155,6 @@ class ShardSnapshot:
     budgets: Dict[str, int] = field(default_factory=dict)
     epoch: int = 0
 
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "source": self.source,
-            "seq": self.seq,
-            "budget": self.budget,
-            "licenses": self.licenses,
-            "identity": self.identity,
-            "budgets": dict(self.budgets),
-            "epoch": self.epoch,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "ShardSnapshot":
-        return cls(
-            source=fields["source"], seq=fields["seq"],
-            budget=fields["budget"], licenses=fields["licenses"],
-            identity=fields["identity"],
-            budgets={str(lid): int(units)
-                     for lid, units in fields.get("budgets", {}).items()},
-            epoch=int(fields.get("epoch", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class BootstrapChunk:
@@ -228,31 +177,6 @@ class BootstrapChunk:
     records: bytes
     budgets: Dict[str, int] = field(default_factory=dict)
     epoch: int = 0
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "source": self.source,
-            "seq": self.seq,
-            "budget": self.budget,
-            "snapshot": self.snapshot,
-            "records": self.records.hex(),
-            "budgets": dict(self.budgets),
-            "epoch": self.epoch,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: Dict[str, Any]) -> "BootstrapChunk":
-        records = fields["records"]
-        if isinstance(records, str):
-            records = bytes.fromhex(records)
-        return cls(
-            source=fields["source"], seq=fields["seq"],
-            budget=fields["budget"], snapshot=fields["snapshot"],
-            records=bytes(records),
-            budgets={str(lid): int(units)
-                     for lid, units in fields.get("budgets", {}).items()},
-            epoch=int(fields.get("epoch", 0)),
-        )
 
 
 for _message in (ReplicaDelta, ReplicaBatch, ShardSnapshot, BootstrapChunk):

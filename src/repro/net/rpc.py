@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.codec import RemoteCallError
-from repro.net.network import NetworkConditions, NetworkError, SimulatedLink
+from repro.net.network import NetworkError, SimulatedLink
 from repro.net.transport import HandlerTable, Transport, TransportError
 from repro.sgx.driver import SgxStats
 from repro.sim.clock import Clock
@@ -82,81 +82,3 @@ class RemoteEndpoint:
 def lease_handler_table(remote) -> HandlerTable:
     """The canonical method table for an SL-Remote server object."""
     return HandlerTable(remote.protocol_handlers())
-
-
-#: Loopback backend name -> endpoint scheme, for the deprecated wrapper.
-_LOOPBACK_ENDPOINTS = {
-    "in-process": "sl+inproc://",
-    "serialized": "sl+serialized://",
-}
-
-
-def connect_remote(remote, link: SimulatedLink,
-                   transport: str = "in-process") -> RemoteEndpoint:
-    """Deprecated: use ``connect("sl+inproc://", remote=..., link=...)``.
-
-    ``transport`` selects the loopback backend: ``"in-process"`` (direct
-    dispatch, the default every experiment uses) or ``"serialized"``
-    (every message round-trips through the wire codec).
-    """
-    from repro.net.endpoint import connect, deprecated_connect_warning
-
-    deprecated_connect_warning("connect_remote", "sl+inproc://")
-    scheme = _LOOPBACK_ENDPOINTS.get(transport)
-    if scheme is None:
-        raise ValueError(
-            f"unknown loopback transport {transport!r}; choose 'in-process' "
-            f"or 'serialized' (use TcpTransport for 'tcp')"
-        )
-    return connect(scheme, remote=remote, link=link)
-
-
-def connect_tcp(host: str, port: int,
-                conditions: Optional[NetworkConditions] = None,
-                timeout_seconds: float = 5.0,
-                max_attempts: int = 5,
-                backoff_seconds: float = 0.05,
-                reconnect_attempts: int = 4,
-                reconnect_backoff_seconds: float = 0.05) -> RemoteEndpoint:
-    """Deprecated: use ``connect(f"sl://{host}:{port}")``."""
-    from repro.net.endpoint import connect, deprecated_connect_warning
-
-    deprecated_connect_warning("connect_tcp", "sl://host:port")
-    return connect(
-        f"sl://{host}:{port}",
-        conditions=conditions,
-        timeout_seconds=timeout_seconds,
-        max_attempts=max_attempts,
-        backoff_seconds=backoff_seconds,
-        reconnect_attempts=reconnect_attempts,
-        reconnect_backoff_seconds=reconnect_backoff_seconds,
-    )
-
-
-def connect_async_tcp(host: str, port: int,
-                      conditions: Optional[NetworkConditions] = None,
-                      timeout_seconds: float = 5.0,
-                      max_attempts: int = 5,
-                      backoff_seconds: float = 0.05,
-                      reconnect_attempts: int = 4,
-                      reconnect_backoff_seconds: float = 0.05) -> RemoteEndpoint:
-    """Deprecated: use ``connect(f"sl+async://{host}:{port}")``.
-
-    Same synchronous calling contract as :func:`connect_tcp`; the
-    difference is on the wire — many calls from many threads share one
-    socket with correlation-tagged frames instead of queueing on a
-    per-connection lock.
-    """
-    from repro.net.endpoint import connect, deprecated_connect_warning
-
-    deprecated_connect_warning("connect_async_tcp", "sl+async://host:port")
-    return connect(
-        f"sl+async://{host}:{port}",
-        conditions=conditions,
-        timeout_seconds=timeout_seconds,
-        max_attempts=max_attempts,
-        backoff_seconds=backoff_seconds,
-        reconnect_attempts=reconnect_attempts,
-        reconnect_backoff_seconds=reconnect_backoff_seconds,
-        io="async",
-    )

@@ -1,7 +1,8 @@
 """A real socket server exposing SL-Remote to the network.
 
 :class:`LeaseServer` binds a TCP port and serves the lease protocol —
-length-prefixed JSON frames (:mod:`repro.net.codec`) — so an SL-Remote
+length-prefixed, CRC-checked binary frames (:mod:`repro.net.codec`) — so
+an SL-Remote
 process can field init/renew/shutdown traffic from SL-Local instances
 on other machines.  This is the deployment shape the paper assumes (a
 vendor server in front of a fleet); the in-process transports remain
@@ -61,12 +62,10 @@ def overload_frame() -> bytes:
 class WireStats:
     """Codec/transport counters shared by both server IO backends.
 
-    Everything the wire-format benchmark needs to report honestly:
-    actual bytes and frames through the codec, how renewals coalesce
-    into batches, and the wire version every connection negotiated (or
-    was observed speaking).  All updates take one lock — these counters
-    feed published numbers, so concurrent connections must not
-    undercount them.
+    Everything a benchmark needs to report honestly: actual bytes and
+    frames through the codec, and how renewals coalesce into batches.
+    All updates take one lock — these counters feed published numbers,
+    so concurrent connections must not undercount them.
     """
 
     def __init__(self) -> None:
@@ -83,8 +82,6 @@ class WireStats:
         #: *observable*: every rejection is counted here in addition to
         #: the typed error envelope (or connection close) it earns.
         self.frames_rejected = 0
-        #: wire version -> connections that settled on it.
-        self.connections_by_wire: dict = {}
 
     def note_decoded(self, nbytes: int) -> None:
         with self._lock:
@@ -95,12 +92,6 @@ class WireStats:
         with self._lock:
             self.bytes_encoded += nbytes
             self.frames_encoded += 1
-
-    def note_connection(self, version: int) -> None:
-        with self._lock:
-            self.connections_by_wire[version] = (
-                self.connections_by_wire.get(version, 0) + 1
-            )
 
     def note_batch(self, size: int) -> None:
         with self._lock:
@@ -123,45 +114,7 @@ class WireStats:
                 "batched_renewals": self.batched_renewals,
                 "largest_batch": self.largest_batch,
                 "frames_rejected": self.frames_rejected,
-                "connections_by_wire": {
-                    str(version): count
-                    for version, count in sorted(
-                        self.connections_by_wire.items())
-                },
             }
-
-
-class ConnectionWire:
-    """Per-connection negotiated wire state (one per serving loop)."""
-
-    __slots__ = ("version", "recorded")
-
-    def __init__(self) -> None:
-        self.version: Optional[int] = None
-        self.recorded = False
-
-    def record(self, stats: WireStats, version: int) -> None:
-        self.version = version
-        if not self.recorded:
-            self.recorded = True
-            stats.note_connection(version)
-
-
-def negotiate_hello(payload, ceiling: int, conn: ConnectionWire,
-                    stats: WireStats) -> dict:
-    """Answer a :data:`~repro.net.codec.HELLO_METHOD` request.
-
-    Picks the highest mutually supported version (capped at the
-    server's ``ceiling``), records it on the connection, and returns
-    the response payload.  Shared by both server IO backends so the
-    negotiation matrix cannot drift between them.
-    """
-    offered = payload.get("supported") if isinstance(payload, dict) else None
-    if not isinstance(offered, (list, tuple)):
-        raise codec.CodecError(f"malformed hello payload {payload!r}")
-    chosen = codec.choose_wire_version(offered, ceiling=ceiling)
-    conn.record(stats, chosen)
-    return {"wire": chosen}
 
 
 def attach_server_stats(handlers: HandlerTable, server, io_name: str) -> None:
@@ -170,8 +123,8 @@ def attach_server_stats(handlers: HandlerTable, server, io_name: str) -> None:
     Benchmarks and operators probe it over the wire to compare IO
     backends — most importantly ``resident_threads``, the number every
     idle connection inflates on the threaded server and the event-loop
-    server keeps flat — and, since wire v3, the codec counters that
-    price each renewal in actual bytes.  When the served remote
+    server keeps flat — and the codec counters that price each renewal
+    in actual bytes.  When the served remote
     replicates, the report carries the quorum control plane's health:
     per-peer ack lag, the current promotion epoch, the configured
     quorum, and the EXHAUSTED-response counter the adaptive-renewal
@@ -235,15 +188,9 @@ class LeaseServer:
                  accept_backlog: int = 128,
                  serialize_dispatch: bool = False,
                  max_connections: Optional[int] = None,
-                 extra_handlers=None,
-                 wire: int = codec.WIRE_V3) -> None:
+                 extra_handlers=None) -> None:
         if max_connections is not None and max_connections < 1:
             raise ValueError("max_connections must be at least 1")
-        if wire not in codec.SUPPORTED_WIRE_VERSIONS:
-            raise ValueError(
-                f"unknown wire version {wire!r}; "
-                f"choose one of {codec.SUPPORTED_WIRE_VERSIONS}"
-            )
         self.remote = remote
         self.handlers = HandlerTable(remote.protocol_handlers())
         #: Fleet-internal surfaces (replication, membership probes)
@@ -272,9 +219,6 @@ class LeaseServer:
         self._dispatch_lock = threading.Lock() if serialize_dispatch else None
         self._counters_lock = threading.Lock()
         self._stopping = threading.Event()
-        #: Highest wire version this server will negotiate up to
-        #: (``wire=2`` keeps a staged rollout on JSON envelopes).
-        self.wire = wire
         self.wire_stats = WireStats()
         attach_server_stats(self.handlers, self, io_name="threads")
 
@@ -391,7 +335,6 @@ class LeaseServer:
         # descriptors well past that.
         poller = select.poll()
         poller.register(connection, select.POLLIN)
-        conn_wire = ConnectionWire()
         with connection:
             while not self._stopping.is_set():
                 # Poll before the blocking frame read so an idle
@@ -414,7 +357,7 @@ class LeaseServer:
                 self.wire_stats.note_decoded(
                     len(data) + codec.FRAME_HEADER.size
                 )
-                reply = self._handle_frame(data, conn_wire)
+                reply = self._handle_frame(data)
                 framed = codec.frame(reply)
                 self.wire_stats.note_encoded(len(framed))
                 try:
@@ -422,59 +365,34 @@ class LeaseServer:
                 except OSError:
                     return
 
-    def _handle_frame(self, data: bytes,
-                      conn_wire: Optional[ConnectionWire] = None) -> bytes:
-        if conn_wire is None:
-            conn_wire = ConnectionWire()
-        # Replies speak whatever format the request arrived in: binary
-        # requests get binary replies, JSON requests get JSON replies —
-        # the negotiated per-connection version tells the *client* what
-        # it may send, the frame itself tells us what to answer with.
-        reply_version = (codec.WIRE_V3 if codec.is_binary_frame(data)
-                         else codec.WIRE_VERSION)
+    def _handle_frame(self, data: bytes) -> bytes:
         request_id = 0
         try:
             method, payload, request_id, _meta = \
                 codec.decode_request_envelope(data)
-            if method == codec.HELLO_METHOD:
-                response = negotiate_hello(payload, self.wire, conn_wire,
-                                           self.wire_stats)
-            else:
-                if not conn_wire.recorded:
-                    # First lease frame from a peer that skipped
-                    # negotiation: record the version it is observed
-                    # speaking.
-                    conn_wire.record(self.wire_stats,
-                                     codec.wire_version_of(data))
-                if method == "renew_batch" \
-                        and hasattr(payload, "requests"):
-                    self.wire_stats.note_batch(len(payload.requests))
-                if self._dispatch_lock is not None:
-                    with self._dispatch_lock:
-                        response = self.handlers.dispatch(
-                            method, payload, clock=self.clock, stats=self.stats
-                        )
-                else:
+            if method == "renew_batch" and hasattr(payload, "requests"):
+                self.wire_stats.note_batch(len(payload.requests))
+            if self._dispatch_lock is not None:
+                with self._dispatch_lock:
                     response = self.handlers.dispatch(
                         method, payload, clock=self.clock, stats=self.stats
                     )
-        except codec.CodecError as exc:
-            # The frame arrived intact (framing held) but its payload
-            # would not decode: checksum mismatch, garbage envelope —
-            # tampering evidence, answered with a typed error and
-            # counted so red-team audits can match every tampered
-            # frame to a rejection.
-            self.wire_stats.note_rejected()
-            with self._counters_lock:
-                self.errors_returned += 1
-            return codec.encode_error(f"{type(exc).__name__}: {exc}",
-                                      request_id, version=reply_version)
+            else:
+                response = self.handlers.dispatch(
+                    method, payload, clock=self.clock, stats=self.stats
+                )
         except Exception as exc:  # noqa: BLE001 - every fault becomes a wire error
+            if isinstance(exc, codec.CodecError):
+                # The frame arrived intact (framing held) but its
+                # payload would not decode: wrong magic, checksum
+                # mismatch, garbage envelope — tampering evidence,
+                # counted so red-team audits can match every tampered
+                # frame to a rejection.
+                self.wire_stats.note_rejected()
             with self._counters_lock:
                 self.errors_returned += 1
             return codec.encode_error(f"{type(exc).__name__}: {exc}",
-                                      request_id, version=reply_version)
+                                      request_id)
         with self._counters_lock:
             self.requests_served += 1
-        return codec.encode_response(response, request_id,
-                                     version=reply_version)
+        return codec.encode_response(response, request_id)

@@ -26,9 +26,13 @@ routes the lease protocol so the fleet behaves like a single server:
   ``LeaseServer``).  ``replicas=1`` wires a
   :class:`~repro.net.replication.ReplicationManager` per shard over
   in-process peer links.
-* :class:`ShardRouterTransport` / :func:`connect_sharded_tcp` — the
-  client-side router over N ``serve-remote`` processes (one per shard,
-  started with ``--shard-of``).
+* :class:`ShardRouterTransport` — the client-side router over N
+  ``serve-remote`` processes (one per shard, started with
+  ``--shard-of``), built by ``connect("sl+sharded://h1:p1,h2:p2")``
+  with addresses **in ring order**: the i-th address must be the worker
+  started with ``--shard-of i:N`` (or with the i-th ``names=`` entry),
+  otherwise the client's ring disagrees with the fleet's license
+  placement.
 
 Routing rules (the SLID-vs-license partitioning decision)
 ---------------------------------------------------------
@@ -184,8 +188,8 @@ def default_shard_names(count: int) -> List[str]:
     """The canonical names for an N-shard fleet (``shard-0`` .. ``shard-N-1``).
 
     Both sides of the wire — ``serve-remote --shard-of I:N`` workers and
-    :func:`connect_sharded_tcp` clients — derive the same names, so
-    their rings agree without exchanging configuration.
+    ``sl+sharded://`` clients — derive the same names, so their rings
+    agree without exchanging configuration.
     """
     if count < 1:
         raise ValueError("shard count must be >= 1")
@@ -1040,33 +1044,3 @@ class ShardRouterTransport(Transport):
     def close(self) -> None:
         for transport in self.transports.values():
             transport.close()
-
-
-def connect_sharded_tcp(addresses, conditions=None, timeout_seconds: float = 5.0,
-                        max_attempts: int = 5, backoff_seconds: float = 0.05,
-                        shard_names: Optional[Sequence[str]] = None,
-                        ring_replicas: int = 64,
-                        io: str = "threads"):
-    """Deprecated: use ``repro.net.connect("sl+sharded://h1:p1,h2:p2")``.
-
-    Kept as a thin wrapper over :func:`repro.net.endpoint.connect` with
-    byte-identical protocol outcomes.  ``addresses`` is a sequence of
-    ``(host, port)`` pairs, one per shard **in ring order** — the i-th
-    address must be the worker started with ``--shard-of i:N`` (or with
-    the i-th name of ``shard_names``), otherwise the client's ring
-    disagrees with the fleet's license placement.
-    """
-    from repro.net.endpoint import connect, deprecated_connect_warning
-
-    deprecated_connect_warning("connect_sharded_tcp",
-                               "sl+sharded://host:port,host:port")
-    addresses = list(addresses)
-    authority = ",".join(f"{host}:{port}" for host, port in addresses)
-    url = f"sl+sharded://{authority}"
-    if shard_names is not None:
-        url += "?names=" + ",".join(shard_names)
-    return connect(url, conditions=conditions,
-                   timeout_seconds=timeout_seconds,
-                   max_attempts=max_attempts,
-                   backoff_seconds=backoff_seconds,
-                   ring_replicas=ring_replicas, io=io)

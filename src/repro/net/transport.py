@@ -13,7 +13,8 @@ through a :class:`Transport`, so the *same* SL-Local code runs against:
   loudly here, while determinism is fully preserved.
 * :class:`TcpTransport` — a real socket client for an SL-Remote served
   by :class:`repro.net.server.LeaseServer` in another process, with
-  length-prefixed framing, request timeouts, and retry-with-backoff.
+  length-prefixed CRC-checked binary frames, request timeouts, and
+  retry-with-backoff.
   Each attempt still charges one RTT of *virtual* time to the caller's
   clock, folding the real wire into the SimulatedLink accounting model
   (an unreliable server shows up as longer renewal latencies, exactly
@@ -253,8 +254,8 @@ class RenewCoalescer:
     The payoff is server-side: N coalesced renewals cost one frame, one
     executor hop, and one ledger-commit charge per distinct license
     instead of N of each — the difference between ~700 and several
-    thousand renewals/s at 100 clients (see
-    ``benchmarks/test_wire_format.py``).
+    thousand renewals/s at 100 clients against a 20 ms ledger commit;
+    ``bench/``'s ``batch_durable`` workload measures it at sleep 0.
     """
 
     def __init__(self, window_seconds: float,
@@ -319,8 +320,9 @@ class RenewCoalescer:
 class TcpTransport(Transport):
     """Socket client for an SL-Remote behind :class:`~repro.net.server.LeaseServer`.
 
-    One persistent connection, length-prefixed JSON frames.  A request
-    that times out or hits a broken connection is retried with
+    One persistent connection, length-prefixed binary frames
+    (:mod:`repro.net.codec`).  A request that times out or hits a
+    broken connection is retried with
     exponential backoff up to ``max_attempts`` times; every attempt
     charges one virtual RTT to the caller's clock (the SimulatedLink
     accounting model), and real-world waiting happens via socket
@@ -391,10 +393,6 @@ class TcpTransport(Transport):
         #: EWMA of the *real* round-trip time of successful exchanges —
         #: the latency half of the telemetry renewals carry upstream.
         self.rtt_ewma_seconds = 0.0
-        #: Preferred wire version; the connection's actual version is
-        #: negotiated on dial and recorded in ``negotiated_wire``.
-        self.wire = getattr(config, "wire", codec.WIRE_VERSION)
-        self.negotiated_wire: Optional[int] = None
         #: Per-frame link accounting: every physical frame is charged
         #: once with its actual serialized length, so a batch of N
         #: coalesced renewals bills one frame, not N messages.
@@ -430,7 +428,6 @@ class TcpTransport(Transport):
             if self._ever_connected:
                 self.reconnects += 1
             self._ever_connected = True
-            self.negotiated_wire = self._negotiate(sock)
             return sock
         raise DialError(
             f"could not (re)connect to {self.host}:{self.port} after "
@@ -450,39 +447,6 @@ class TcpTransport(Transport):
     def close(self) -> None:
         with self._lock:
             self._drop_connection()
-
-    # -- negotiation -----------------------------------------------------
-    def _negotiate(self, sock: socket.socket) -> int:
-        """First exchange on a fresh connection: agree on a wire version.
-
-        A preference below v3 skips the hello entirely (the JSON
-        revisions need no agreement — decoders accept both); otherwise
-        one JSON round-trip asks the server to pick.  A server without
-        a hello handler answers with an unknown-method error, which
-        down-negotiates to v2.
-        """
-        if self.wire < codec.WIRE_V3:
-            return self.wire
-        frame = codec.frame(codec.encode_request(
-            codec.HELLO_METHOD, codec.hello_payload(self.wire)
-        ))
-        sock.sendall(frame)
-        self.bytes_sent += len(frame)
-        self.frames_sent += 1
-        data = read_frame(sock)
-        self.bytes_received += len(data) + codec.FRAME_HEADER.size
-        self.frames_received += 1
-        reply = codec.decode_reply(data)
-        if reply.kind == "error":
-            if reply.meta.get("overloaded"):
-                self._drop_connection()
-                raise Overloaded(reply.error or "server overloaded")
-            return codec.WIRE_VERSION  # pre-negotiation server: speak JSON
-        chosen = reply.payload.get("wire") if isinstance(reply.payload, dict) \
-            else None
-        if chosen not in codec.SUPPORTED_WIRE_VERSIONS:
-            raise codec.CodecError(f"server negotiated bogus wire {chosen!r}")
-        return chosen
 
     # -- the round trip ------------------------------------------------
     def request(self, method: str, payload: object,
@@ -548,17 +512,19 @@ class TcpTransport(Transport):
                     self.messages_dropped += 1
                     raise
                 except codec.CodecError as exc:
-                    # The reply failed to decode: tampering evidence,
-                    # not loss.  The stream is desynchronized (we may
-                    # have stopped mid-frame) and a silent retry would
-                    # hide the tamper, so drop the connection and
+                    # The reply failed to decode, or answers a request
+                    # this call did not send: tampering evidence, not
+                    # loss.  The stream is desynchronized (we may have
+                    # stopped mid-frame, or a replayed frame shifted
+                    # every later reply by one) and a silent retry
+                    # would hide the tamper, so drop the connection and
                     # surface the typed error immediately.
                     self.messages_dropped += 1
                     self.frames_rejected += 1
                     self._drop_connection()
                     raise TamperedFrame(
                         f"tcp reply for {method!r} from "
-                        f"{self.host}:{self.port} failed to decode: {exc}",
+                        f"{self.host}:{self.port} rejected: {exc}",
                         host=self.host, port=self.port,
                     ) from exc
                 except OSError as exc:
@@ -576,10 +542,8 @@ class TcpTransport(Transport):
     def _round_trip(self, method: str, payload: object):
         sock = self._connection()
         self._request_id += 1
-        version = self.negotiated_wire or codec.WIRE_VERSION
         frame = codec.frame(
-            codec.encode_request(method, payload, self._request_id,
-                                 version=version)
+            codec.encode_request(method, payload, self._request_id)
         )
         sock.sendall(frame)
         # One physical frame = one charge, whatever it coalesces.
@@ -594,6 +558,18 @@ class TcpTransport(Transport):
             # close the socket next, so drop our side pre-emptively.
             self._drop_connection()
             raise Overloaded(reply.error or "server overloaded")
+        unread_request = reply.kind == "error" and reply.request_id == 0
+        if reply.request_id != self._request_id and not unread_request:
+            # Replies match requests by position on this connection, so
+            # a reply carrying any other id is a duplicated, replayed
+            # or reordered frame.  The one exception is the server
+            # saying it could not decode our frame: it never learned
+            # the id, answers with 0 (ids start at 1), and that typed
+            # rejection must reach the caller.
+            raise codec.CodecError(
+                f"reply carries request id {reply.request_id}, "
+                f"expected {self._request_id}"
+            )
         return reply.deliver()
 
     def _note_rtt(self, seconds: float) -> None:

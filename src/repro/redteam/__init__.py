@@ -7,7 +7,7 @@ actually *attacks* a running fleet over real sockets and loses.  This
 package is that something:
 
 * :mod:`~repro.redteam.proxy` — a capture/replay wire proxy: records
-  every v1/v2/v3 frame crossing it, tampers traffic in flight through
+  every frame crossing it, tampers traffic in flight through
   a :class:`~repro.testing.faults.NetFaultPlan`, and re-injects
   captured frames at arbitrary servers (replay across failover).
 

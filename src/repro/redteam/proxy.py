@@ -2,13 +2,13 @@
 
 A :class:`CaptureProxy` sits between a lease client and one server,
 speaking nothing but the length-prefixed framing both sides already
-use: each pump thread reads whole frames (v1/v2 JSON or v3 binary —
-the proxy never needs to understand them), records them in capture
+use: each pump thread reads whole frames (the proxy never needs to
+understand them), records them in capture
 order, optionally runs them through a per-direction
 :class:`~repro.testing.faults.NetFaultPlan`, and re-frames whatever
 survives toward the other side.  Because tampering happens on the
 *payload* and the proxy re-frames with a correct header, a corrupted
-frame arrives well-framed but fails the codec's CRC/magic/JSON checks
+frame arrives well-framed but fails the codec's magic/CRC checks
 — precisely the adversary the typed-rejection contract
 (:class:`~repro.net.errors.TamperedFrame`, server-side
 ``frames_rejected``) is written against.
@@ -16,9 +16,9 @@ frame arrives well-framed but fails the codec's CRC/magic/JSON checks
 :func:`inject_frames` is the replay half: take captured client→server
 payloads and push them at *any* server — the one they were recorded
 against, its promoted successor after a SIGKILL, or a deposed primary
-that just came back from the dead — and classify every answer.  v3
-frames are sniffed per frame by the servers, so no hello handshake is
-needed before injecting.
+that just came back from the dead — and classify every answer.  A
+connection has no handshake, so a captured frame can be injected as the
+first thing a socket ever says.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class CaptureProxy:
     """Record-and-tamper TCP forwarder for one upstream server.
 
     Plans are swappable at runtime (:meth:`set_plan`), so a campaign
-    can let negotiation and init traffic through clean, then switch
+    can let init traffic through clean, then switch
     corruption on for the frames it wants mutilated.
     """
 

@@ -59,24 +59,6 @@ class AttestationReport:
         mac = _report_mac(source_measurement, target_measurement, nonce, platform_secret)
         return AttestationReport(source_measurement, target_measurement, nonce, mac)
 
-    def to_wire(self) -> dict:
-        """JSON-ready field dict (all 64-bit words) for the wire codec."""
-        return {
-            "source_measurement": self.source_measurement,
-            "target_measurement": self.target_measurement,
-            "nonce": self.nonce,
-            "mac": self.mac,
-        }
-
-    @classmethod
-    def from_wire(cls, fields: dict) -> "AttestationReport":
-        return cls(
-            source_measurement=fields["source_measurement"],
-            target_measurement=fields["target_measurement"],
-            nonce=fields["nonce"],
-            mac=fields["mac"],
-        )
-
 
 def _report_mac(src: int, dst: int, nonce: int, secret: int) -> int:
     body = src.to_bytes(8, "big") + dst.to_bytes(8, "big") + nonce.to_bytes(8, "big")

@@ -354,8 +354,8 @@ class WriteAheadLog:
     def export_frames(self) -> bytes:
         """The intact log tail as v3 wire frames, ready to ship.
 
-        Re-frames every record with the negotiated binary codec's value
-        encoding (PR 6) instead of the sealed on-disk frames: the WAL
+        Re-frames every record with the wire codec's value encoding
+        instead of the sealed on-disk frames: the WAL
         seal is derived from the *shard-local* key domain, which a peer
         cannot (and should not) unseal, while the wire already rides an
         authenticated fleet channel.  Syncs first so the disk read sees

@@ -210,8 +210,8 @@ class NetFaultPlan:
     #: Corrupt every Nth frame (after ``start_after``); composes with
     #: ``corrupt_nth`` for one-shot use.
     corrupt_every: Optional[int] = None
-    #: Frames numbered <= this pass untouched (lets negotiation and
-    #: init traffic through before the tampering starts).
+    #: Frames numbered <= this pass untouched (lets init traffic
+    #: through before the tampering starts).
     start_after: int = 0
     #: Which payload byte the corruption flips (modulo the length).
     corrupt_offset: int = 0

@@ -18,6 +18,21 @@ class TestParser:
         args = build_parser().parse_args(["--seed", "7", "workloads"])
         assert args.seed == 7
 
+    def test_wire_flag_has_one_legal_value(self, capsys):
+        """``serve-remote --wire 3`` still parses (bench/ passes it);
+        the retired formats are usage errors, and the client commands
+        lost the flag altogether."""
+        parser = build_parser()
+        command = ["serve-remote", "--io", "async", "--wire"]
+        assert parser.parse_args(command + ["3"]).wire == 3
+        for retired in ("1", "2"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(command + [retired])
+        for client in (["run", "bfs"], ["fleet"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(client + ["--wire", "3"])
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_workloads_lists_all(self, capsys):

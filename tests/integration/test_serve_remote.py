@@ -145,9 +145,9 @@ def _read_until_marker(process):
 
 
 def test_recovery_markers_precede_listening_with_batching(tmp_path):
-    """Startup ordering survives the v3/batching arc.
+    """Startup ordering survives batching.
 
-    A durable server is driven through batched binary renewals, then
+    A durable server is driven through batched renewals, then
     restarted on the same ledger: every ``SL-Recovery`` replay marker
     must still print *before* the listening marker, so harnesses that
     wait for the port have already seen the replay stats.
@@ -162,7 +162,7 @@ def test_recovery_markers_precede_listening_with_batching(tmp_path):
         seen = _read_until_marker(process)
         host, port = seen[-1].split(MARKER, 1)[1].strip().rsplit(":", 1)
         endpoint = connect(
-            f"sl://{host}:{int(port)}?wire=3&batch_window=0.001",
+            f"sl://{host}:{int(port)}?batch_window=0.001",
             conditions=NetworkConditions(round_trip_seconds=0.002),
             timeout_seconds=10.0,
         )
@@ -181,9 +181,7 @@ def test_recovery_markers_precede_listening_with_batching(tmp_path):
                             tokens_per_attestation=10)
         manager.load_license("lic-wire", mint_license_blob("lic-wire"))
         assert manager.check("lic-wire")
-        transport = endpoint.transport
-        assert transport.negotiated_wire == 3
-        assert transport.coalescer is not None
+        assert endpoint.transport.coalescer is not None
         sl_local.shutdown()
         endpoint.close()
     finally:

@@ -15,6 +15,7 @@ from repro.crypto.keys import KeyGenerator
 from repro.net import codec
 from repro.net.aio import AsyncLeaseServer, AsyncTcpTransport
 from repro.net.endpoint import connect, endpoint_for
+from repro.net.errors import Overloaded
 from repro.net.network import NetworkConditions
 from repro.net.rpc import RpcError
 from repro.net.server import OVERLOAD_ERROR, LeaseServer
@@ -110,6 +111,31 @@ class TestAsyncLifecycle:
             endpoint.call("warp", None, clock=machine.clock)
         assert endpoint.transport.messages_sent == 1  # no retry storm
         endpoint.close()
+
+    def test_stop_with_open_connections_logs_nothing(self, capfd):
+        """stop() cancels every connection task; asyncio must not log
+        one ``CancelledError`` traceback per open connection."""
+        remote = SlRemote(RemoteAttestationService(accept_any_platform=True))
+        srv = AsyncLeaseServer(remote, port=0)
+        srv.start()
+        recorded = []
+        srv._loop.call_soon_threadsafe(
+            srv._loop.set_exception_handler,
+            lambda _loop, context: recorded.append(context),
+        )
+        clients = [dial_async(*srv.address), dial_tcp(*srv.address),
+                   dial_async(*srv.address)]
+        try:
+            for index, endpoint in enumerate(clients):
+                raw_init(endpoint, SgxMachine(f"open-{index}"))
+            assert srv.open_connections == len(clients)
+            srv.stop()
+            assert srv.open_connections == 0
+        finally:
+            for endpoint in clients:
+                endpoint.close()
+        assert recorded == []
+        assert "CancelledError" not in capfd.readouterr().err
 
     def test_async_tcp_cannot_bypass_the_network(self):
         endpoint = dial_async("127.0.0.1", 1)
@@ -295,6 +321,34 @@ class TestConnectionCaps:
             assert reply.meta.get("overloaded") is True
             assert srv.connections_shed == 1
             holder.close()
+        finally:
+            srv.stop()
+
+    @pytest.mark.parametrize("server_cls,dial", [
+        (LeaseServer, dial_tcp), (AsyncLeaseServer, dial_async),
+        (AsyncLeaseServer, dial_tcp), (LeaseServer, dial_async),
+    ], ids=["threads-tcp", "async-async", "async-tcp", "threads-async"])
+    def test_shed_client_sees_the_typed_overloaded_error(self, server_cls,
+                                                         dial):
+        """No frame precedes a client's first request, so the brush-off
+        is the answer to that request: both clients must surface it as
+        :class:`Overloaded`, not burn their retry budget on it."""
+        remote = SlRemote(RemoteAttestationService(accept_any_platform=True))
+        srv = server_cls(remote, port=0, max_connections=1)
+        srv.start()
+        try:
+            holder = dial(*srv.address)
+            raw_init(holder, SgxMachine("holder"))
+            shed = dial(*srv.address, timeout_seconds=5.0)
+            try:
+                with pytest.raises(RpcError, match=OVERLOAD_ERROR) as excinfo:
+                    raw_init(shed, SgxMachine("shed"))
+                assert isinstance(excinfo.value.__cause__, Overloaded)
+                assert shed.transport.messages_sent == 1
+            finally:
+                shed.close()
+                holder.close()
+            assert srv.connections_shed == 1
         finally:
             srv.stop()
 

@@ -1,6 +1,8 @@
 """Wire codec tests: every protocol message survives the wire unchanged."""
 
 import json
+import socket
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,10 +20,17 @@ from repro.core.protocol import (
     ShutdownNotice,
     Status,
 )
+from repro.core.sl_remote import SlRemote, ledger_to_wire
 from repro.core.tokens import ExecutionToken
 from repro.crypto.sealing import SealedBlob
 from repro.net import codec
+from repro.net.aio import AsyncLeaseServer
+from repro.net.endpoint import connect
 from repro.net.replication import ReplicaBatch, ReplicaDelta, ShardSnapshot
+from repro.net.server import LeaseServer
+from repro.net.sharding import HashRing, default_shard_names
+from repro.net.transport import read_frame
+from repro.sgx import RemoteAttestationService, SgxMachine
 from repro.sgx.attestation import AttestationReport
 
 # ----------------------------------------------------------------------
@@ -58,8 +67,8 @@ def execution_tokens(draw):
     )
 
 
-# Fleet-internal replication/migration messages (WIRE_VERSION 2): the
-# same lossless-wire property must hold for them as for client traffic.
+# Fleet-internal replication/migration messages: the same lossless-wire
+# property must hold for them as for client traffic.
 migrating_notices = st.builds(
     MigratingNotice,
     license_id=license_ids,
@@ -164,26 +173,14 @@ plain_payloads = st.recursive(
 # ----------------------------------------------------------------------
 @given(protocol_messages)
 def test_every_protocol_message_survives_the_wire(message):
-    encoded = codec.encode_payload(message)
-    # Force an actual JSON round trip: what really goes over a socket.
-    rebuilt = codec.decode_payload(json.loads(json.dumps(encoded)))
+    rebuilt = codec.decode_value(codec.encode_value(message))
     assert rebuilt == message
     assert type(rebuilt) is type(message)
 
 
-@given(protocol_messages)
-def test_to_wire_from_wire_inverse(message):
-    assert type(message).from_wire(
-        json.loads(json.dumps(message.to_wire()))
-    ) == message
-
-
 @given(plain_payloads)
 def test_plain_payloads_survive_the_wire(payload):
-    rebuilt = codec.decode_payload(json.loads(json.dumps(
-        codec.encode_payload(payload)
-    )))
-    assert rebuilt == payload
+    assert codec.decode_value(codec.encode_value(payload)) == payload
 
 
 @given(protocol_messages, st.integers(min_value=0, max_value=2**31))
@@ -199,32 +196,70 @@ def test_response_envelope_round_trip(message):
 
 
 # ----------------------------------------------------------------------
-# Strictness: versioning, unknown types, error envelopes, framing
+# Strictness: one format, unknown types, error envelopes, framing
 # ----------------------------------------------------------------------
+def json_envelope(version: int, kind: str = "request") -> bytes:
+    """A v1/v2 envelope byte for byte as the deleted JSON codec emitted
+    it (``version=3`` is the mislabeled envelope that codec refused)."""
+    envelope = {"v": version, "kind": kind, "id": 9}
+    if kind == "request":
+        envelope.update(method="renew", body=None)
+    elif kind == "response":
+        envelope.update(body=None)
+    else:
+        envelope.update(error="boom")
+    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+
+
 def test_status_decodes_to_the_singleton():
-    rebuilt = codec.decode_payload(codec.encode_payload(Status.EXHAUSTED))
+    rebuilt = codec.decode_value(codec.encode_value(Status.EXHAUSTED))
     assert rebuilt is Status.EXHAUSTED  # `is` comparisons keep working
 
 
 def test_wrong_version_rejected():
-    envelope = json.loads(codec.encode_request("init", None).decode())
-    envelope["v"] = codec.WIRE_VERSION + 1
-    with pytest.raises(codec.CodecError, match="version"):
-        codec.decode_request(json.dumps(envelope).encode())
+    """The leading byte is the format's whole version field: a frame
+    that opens with anything else is refused by name, whatever its CRC
+    says."""
+    data = bytearray(codec.encode_request("init", None))
+    data[0] ^= 0x01
+    with pytest.raises(codec.CodecError, match="not a v3 frame"):
+        codec.decode_request(bytes(data))
+    with pytest.raises(codec.CodecError, match="not a v3 frame"):
+        codec.decode_reply(bytes(data))
 
 
 def test_unknown_message_type_rejected():
+    name = b"Pickle"
+    data = (bytes([codec._T_MSG]) + struct.pack(">I", len(name)) + name
+            + b"\x00")
     with pytest.raises(codec.CodecError, match="unknown message type"):
-        codec.decode_payload({"__kind__": "msg", "type": "Pickle", "fields": {}})
+        codec.decode_value(data)
 
 
 def test_unregistered_object_rejected():
     class Rogue:
-        def to_wire(self):
-            return {}
+        pass
 
     with pytest.raises(codec.CodecError, match="not wire-encodable"):
-        codec.encode_payload(Rogue())
+        codec.encode_value(Rogue())
+
+
+def test_impostor_sharing_a_registered_name_rejected():
+    """Registration is by class, not by name: a foreign class that
+    happens to be called ``RenewRequest`` does not ride the real one's
+    field table."""
+    impostor = type("RenewRequest", (), {})
+    with pytest.raises(codec.CodecError, match="not wire-encodable"):
+        codec.encode_value(impostor())
+
+
+def test_register_message_type_requires_a_dataclass():
+    class NotADataclass:
+        pass
+
+    with pytest.raises(codec.CodecError, match="not a dataclass"):
+        codec.register_message_type(NotADataclass)
+    assert "NotADataclass" not in codec.MESSAGE_TYPES
 
 
 def test_garbage_frame_rejected():
@@ -255,85 +290,83 @@ def test_frame_round_trip():
 
 
 # ----------------------------------------------------------------------
-# Wire-format evolution: the v1/v2/v3 compatibility matrix
+# What is left of the v1/v2/v3 compatibility matrix: one cell
 # ----------------------------------------------------------------------
+#: Every revision this wire ever had.  Only the last is spoken; the
+#: ``version`` keyword survives on the encoders with that one legal
+#: value.
+HISTORICAL_VERSIONS = (1, 2, 3)
+
+
 class TestVersionCompatMatrix:
-    """Every (emitter version, decoder) pairing that must interoperate.
+    """v3 is the wire.  The old JSON revisions can neither be emitted
+    (the encoders refuse the version up front) nor decoded (their
+    frames do not open with the magic byte)."""
 
-    The decoder sniffs the frame: v1/v2 are JSON envelopes (the v2
-    decoder accepts both), v3 is the binary framing — one decoder entry
-    point accepts all three.  Only an envelope claiming an unknown
-    future revision is rejected.
-    """
-
-    @pytest.mark.parametrize("version", codec.JSON_WIRE_VERSIONS)
-    def test_requests_from_json_versions_decode(self, version):
-        data = codec.encode_request("renew", ("lic", 3), request_id=9,
-                                    version=version)
-        assert json.loads(data.decode())["v"] == version
-        assert codec.decode_request(data) == ("renew", ("lic", 3), 9)
+    @pytest.mark.parametrize("version", (1, 2))
+    def test_requests_from_json_versions_are_rejected(self, version):
+        with pytest.raises(codec.CodecError, match="not a v3 frame"):
+            codec.decode_request(json_envelope(version))
+        for kind in ("response", "error"):
+            with pytest.raises(codec.CodecError, match="not a v3 frame"):
+                codec.decode_reply(json_envelope(version, kind))
 
     def test_requests_from_v3_decode(self):
         data = codec.encode_request("renew", ("lic", 3), request_id=9,
                                     version=codec.WIRE_V3)
-        assert codec.is_binary_frame(data)
+        assert data[0] == codec.V3_MAGIC
         assert codec.decode_request(data) == ("renew", ("lic", 3), 9)
 
-    @pytest.mark.parametrize("version", codec.SUPPORTED_WIRE_VERSIONS)
+    @pytest.mark.parametrize("version", HISTORICAL_VERSIONS)
     def test_responses_from_any_supported_version_decode(self, version):
+        """Supported means v3 and nothing else: it decodes, and the
+        retired revisions are refused before a byte is produced."""
+        if version != codec.WIRE_V3:
+            with pytest.raises(codec.CodecError, match="cannot emit"):
+                codec.encode_response(Status.OK, 5, version=version)
+            return
         data = codec.encode_response(Status.OK, 5, version=version)
         assert codec.decode_response(data) is Status.OK
 
-    @pytest.mark.parametrize("version", codec.SUPPORTED_WIRE_VERSIONS)
+    @pytest.mark.parametrize("version", HISTORICAL_VERSIONS)
     def test_error_envelopes_from_any_supported_version(self, version):
+        if version != codec.WIRE_V3:
+            with pytest.raises(codec.CodecError, match="cannot emit"):
+                codec.encode_error("boom", 1, version=version)
+            return
         data = codec.encode_error("boom", 1, version=version)
         with pytest.raises(codec.RemoteCallError, match="boom"):
             codec.decode_response(data)
 
     def test_unsupported_emission_rejected_up_front(self):
-        with pytest.raises(codec.CodecError, match="cannot emit"):
-            codec.encode_request("init", None, version=99)
-        with pytest.raises(codec.CodecError, match="cannot emit"):
-            codec.encode_response(None, version=0)
+        for version in (0, 1, 2, 99):
+            with pytest.raises(codec.CodecError, match="cannot emit"):
+                codec.encode_request("init", None, version=version)
+            with pytest.raises(codec.CodecError, match="cannot emit"):
+                codec.encode_response(None, version=version)
+            with pytest.raises(codec.CodecError, match="cannot emit"):
+                codec.encode_error("boom", version=version)
 
     def test_future_version_rejected_on_decode(self):
-        envelope = json.loads(codec.encode_request("init", None).decode())
-        envelope["v"] = max(codec.SUPPORTED_WIRE_VERSIONS) + 1
-        with pytest.raises(codec.CodecError, match="version"):
-            codec.decode_request(json.dumps(envelope).encode())
+        """A later revision would announce itself with a different
+        leading byte; this side refuses it instead of guessing."""
+        data = bytearray(codec.encode_request("init", None))
+        data[0] = codec.V3_MAGIC + 1
+        with pytest.raises(codec.CodecError, match="not a v3 frame"):
+            codec.decode_request(bytes(data))
 
-    def test_v2_decoder_tolerates_unknown_envelope_keys(self):
-        """Forward compatibility *within* v2: unknown metadata keys
-        (e.g. a shard routing hint) never break a decoder."""
-        envelope = json.loads(codec.encode_request("renew", ("lic", 1)).decode())
-        envelope["shard"] = "shard-3"
-        envelope["trace_id"] = "abc123"
-        method, payload, _ = codec.decode_request(
-            json.dumps(envelope).encode()
+    def test_decoder_tolerates_unknown_metadata_keys(self):
+        """Unknown metadata keys (e.g. a shard routing hint) never
+        break a decoder."""
+        data = codec.encode_request(
+            "renew", ("lic", 1),
+            meta={"shard": "shard-3", "trace_id": "abc123"},
         )
+        method, payload, _rid, meta = codec.decode_request_envelope(data)
         assert (method, payload) == ("renew", ("lic", 1))
+        assert meta == {"shard": "shard-3", "trace_id": "abc123"}
 
-    def test_meta_attached_only_on_v2(self):
-        """A v2 emitter talking down to a v1 peer must not attach v2
-        metadata the older peer never specified."""
-        v2 = json.loads(codec.encode_request(
-            "renew", None, meta={"shard": "shard-1"}
-        ).decode())
-        assert v2["shard"] == "shard-1"
-        v1 = json.loads(codec.encode_request(
-            "renew", None, version=1, meta={"shard": "shard-1"}
-        ).decode())
-        assert "shard" not in v1
-
-    def test_v1_and_v2_envelopes_carry_identical_required_keys(self):
-        """v1 is a strict subset of v2: same required keys, so a v1
-        decoder given a meta-free v2 envelope differs only in ``v``."""
-        v1 = json.loads(codec.encode_request("renew", 7, 3, version=1).decode())
-        v2 = json.loads(codec.encode_request("renew", 7, 3, version=2).decode())
-        assert v1.pop("v") == 1 and v2.pop("v") == 2
-        assert v1 == v2
-
-    # -- the replication/migration message rows (WIRE_VERSION 2) -------
+    # -- the replication/migration message rows ------------------------
     REPLICATION_ROWS = [
         ("replicate", ReplicaBatch(source="shard-0", budget=64, deltas=(
             ReplicaDelta(1, "grant", {"license_id": "lic",
@@ -348,32 +381,24 @@ class TestVersionCompatMatrix:
         ("promote", "shard-0"),
     ]
 
-    @pytest.mark.parametrize("version", codec.SUPPORTED_WIRE_VERSIONS)
     @pytest.mark.parametrize("method,payload", REPLICATION_ROWS,
                              ids=[row[0] for row in REPLICATION_ROWS])
     def test_fleet_internal_requests_cross_any_supported_version(
-            self, version, method, payload):
+            self, method, payload):
         """The replication surface rides the same envelope as client
-        traffic, so every (version, message) pairing must decode."""
-        data = codec.encode_request(method, payload, request_id=5,
-                                    version=version)
-        if version in codec.JSON_WIRE_VERSIONS:
-            # Force an actual JSON round trip: what crosses a socket.
-            data = json.dumps(json.loads(data.decode())).encode()
+        traffic, so every message must decode."""
+        data = codec.encode_request(method, payload, request_id=5)
         rebuilt_method, rebuilt, rid = codec.decode_request(data)
         assert (rebuilt_method, rid) == (method, 5)
         assert rebuilt == payload
         assert type(rebuilt) is type(payload)
 
-    @pytest.mark.parametrize("version", codec.SUPPORTED_WIRE_VERSIONS)
-    def test_migrating_notice_response_crosses_any_supported_version(
-            self, version):
+    def test_migrating_notice_response_crosses_any_supported_version(self):
         """The typed retry-after envelope a frozen license answers with
-        — stale routers on either wire revision must understand it."""
+        — stale routers must understand it."""
         notice = MigratingNotice(license_id="lic", retry_after_seconds=0.05,
                                  new_owner="shard-2=127.0.0.1:4872")
-        data = codec.encode_response(notice, 7, version=version)
-        rebuilt = codec.decode_response(data)
+        rebuilt = codec.decode_response(codec.encode_response(notice, 7))
         assert rebuilt == notice
         assert rebuilt.status is Status.MIGRATING
 
@@ -382,9 +407,8 @@ class TestVersionCompatMatrix:
 # Correlation metadata: the pipelining contract on the wire
 # ----------------------------------------------------------------------
 class TestCorrelationMetadata:
-    """Corr ids ride the free-form v2 envelope metadata: a tagged
-    request is echoed back tagged, an untagged one stays untagged, and
-    a v1 envelope can carry no tag at all."""
+    """Corr ids ride the free-form envelope metadata: a tagged request
+    is echoed back tagged, an untagged one stays untagged."""
 
     def test_request_corr_id_round_trips(self):
         data = codec.encode_request("renew", ("lic", 1), request_id=4,
@@ -424,15 +448,11 @@ class TestCorrelationMetadata:
         with pytest.raises(codec.CodecError, match="reserved"):
             codec.encode_response(None, meta={"body": "fake"})
 
-    def test_v1_envelopes_never_carry_corr_tags(self):
-        """Strict-ordered interop: a v1 emission silently sheds the tag
-        (the peer matches by position) and a v1 reply decodes with empty
-        meta, so the reader falls back to request-id matching."""
-        request = json.loads(codec.encode_request(
-            "renew", None, version=1, meta={codec.CORRELATION_KEY: 8}
-        ).decode())
-        assert codec.CORRELATION_KEY not in request
-        reply = codec.decode_reply(codec.encode_response(None, 8, version=1))
+    def test_untagged_reply_routes_by_request_id(self):
+        """Strict-ordered interop: a reply to an untagged request
+        decodes with empty meta, so the pipelining reader falls back to
+        request-id matching."""
+        reply = codec.decode_reply(codec.encode_response(None, 8))
         assert reply.meta == {}
         assert reply.request_id == 8  # the fallback routing key
 
@@ -440,10 +460,7 @@ class TestCorrelationMetadata:
     def test_tagged_round_trip_is_lossless(self, message, corr):
         data = codec.encode_response(message, corr,
                                      meta={codec.CORRELATION_KEY: corr})
-        # Force an actual JSON round trip: what really crosses a socket.
-        reply = codec.decode_reply(
-            json.dumps(json.loads(data.decode())).encode()
-        )
+        reply = codec.decode_reply(data)
         assert reply.deliver() == message
         assert reply.meta[codec.CORRELATION_KEY] == corr
 
@@ -452,8 +469,7 @@ class TestCorrelationMetadata:
 # The v3 binary framing: lossless, and hostile to corruption
 # ----------------------------------------------------------------------
 class TestBinaryWireV3:
-    """The binary revision must be exactly as lossless as the JSON ones
-    — and, being length-prefixed binary, provably resistant to
+    """The binary format must be lossless — and provably resistant to
     corruption: every flipped byte and every truncation raises a typed
     :class:`~repro.net.codec.CodecError`, never a mis-parse."""
 
@@ -461,7 +477,7 @@ class TestBinaryWireV3:
     def test_request_frames_round_trip(self, message, request_id):
         data = codec.encode_request("renew", message, request_id,
                                     version=codec.WIRE_V3)
-        assert codec.is_binary_frame(data)
+        assert data[0] == codec.V3_MAGIC
         method, payload, rid = codec.decode_request(data)
         assert (method, rid) == ("renew", request_id)
         assert payload == message
@@ -503,32 +519,18 @@ class TestBinaryWireV3:
                                  meta={"method": "steal"})
 
     def test_bytes_travel_raw_not_hex(self):
-        """The format's point: byte fields ship as bytes, and the whole
-        frame undercuts the equivalent JSON envelope."""
+        """The format's point: byte fields ship as bytes, so the whole
+        frame undercuts even the blob's bare hex spelling."""
         blob = bytes(range(256))
         request = RenewRequest(slid=1, license_id="lic", license_blob=blob,
                                network_reliability=1.0, health=1.0)
-        v2 = codec.encode_request("renew", request)
-        v3 = codec.encode_request("renew", request, version=codec.WIRE_V3)
-        assert blob in v3
-        assert len(v3) < len(v2)
-
-    def test_wire_version_of_sniffs_both_framings(self):
-        assert codec.wire_version_of(
-            codec.encode_request("renew", None, version=1)
-        ) == 1
-        assert codec.wire_version_of(
-            codec.encode_request("renew", None, version=2)
-        ) == 2
-        assert codec.wire_version_of(
-            codec.encode_request("renew", None, version=codec.WIRE_V3)
-        ) == codec.WIRE_V3
+        frame = codec.encode_request("renew", request)
+        assert blob in frame
+        assert len(frame) < len(blob.hex())
 
     def test_json_envelope_claiming_v3_rejected(self):
-        envelope = json.loads(codec.encode_request("init", None).decode())
-        envelope["v"] = codec.WIRE_V3
-        with pytest.raises(codec.CodecError, match="version"):
-            codec.decode_request(json.dumps(envelope).encode())
+        with pytest.raises(codec.CodecError, match="not a v3 frame"):
+            codec.decode_request(json_envelope(codec.WIRE_V3))
 
     # -- the hostile sweeps --------------------------------------------
     def _sample_frame(self) -> bytes:
@@ -578,91 +580,59 @@ class TestBinaryWireV3:
 
 
 # ----------------------------------------------------------------------
-# Negotiation: the first exchange on every connection
+# Live servers: one format on the socket, old formats earn typed errors
 # ----------------------------------------------------------------------
-class TestWireNegotiation:
-    def test_hello_payload_offers_everything_up_to_preference(self):
-        assert codec.hello_payload(3) == {"supported": [1, 2, 3],
-                                          "preferred": 3}
-        assert codec.hello_payload(2) == {"supported": [1, 2],
-                                          "preferred": 2}
-
-    @pytest.mark.parametrize("preferred", codec.SUPPORTED_WIRE_VERSIONS)
-    @pytest.mark.parametrize("ceiling", codec.SUPPORTED_WIRE_VERSIONS)
-    def test_highest_common_version_wins(self, preferred, ceiling):
-        offered = codec.hello_payload(preferred)["supported"]
-        assert codec.choose_wire_version(offered, ceiling) \
-            == min(preferred, ceiling)
-
-    def test_no_common_version_is_a_codec_error(self):
-        with pytest.raises(codec.CodecError, match="no common"):
-            codec.choose_wire_version([99])
-
-    def test_malformed_offer_is_a_codec_error(self):
-        with pytest.raises(codec.CodecError, match="malformed"):
-            codec.choose_wire_version([None])
+def _exchange(address, payload: bytes) -> bytes:
+    """Send one framed payload on a fresh socket; return the reply's."""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.settimeout(5.0)
+        sock.sendall(codec.frame(payload))
+        return read_frame(sock)
 
 
-# ----------------------------------------------------------------------
-# Live negotiation matrix: real servers, mixed-version fleets
-# ----------------------------------------------------------------------
-class TestMixedVersionFleet:
-    """The compat matrix against live TCP servers, including a sharded
-    fleet whose members cap the wire at different versions."""
-
-    @pytest.mark.parametrize("ceiling", codec.SUPPORTED_WIRE_VERSIONS)
-    def test_v3_client_settles_on_each_server_ceiling(self, ceiling):
-        from repro.core.sl_remote import SlRemote
-        from repro.net.endpoint import connect
-        from repro.net.server import LeaseServer
-        from repro.sgx import RemoteAttestationService, SgxMachine
-
-        ras = RemoteAttestationService(accept_any_platform=True)
-        remote = SlRemote(ras)
-        blob = remote.issue_license("lic-mix", 10_000).license_blob()
-        server = LeaseServer(remote, port=0, wire=ceiling)
-        host, port = server.start()
-        endpoint = connect(f"sl://{host}:{port}?wire=3")
-        machine = SgxMachine("nego")
+class TestLiveServersSpeakOneFormat:
+    @pytest.mark.parametrize("server_cls", [LeaseServer, AsyncLeaseServer],
+                             ids=["threads", "async"])
+    def test_old_format_frames_earn_typed_v3_errors(self, server_cls):
+        """A v2-JSON request and a frame with a wrong magic byte are
+        each answered with a v3 error envelope naming the CodecError,
+        counted in ``frames_rejected``, and leave the ledger untouched
+        — then the same connectionless probe with a good frame is
+        served, so neither rejection wedged the server."""
+        remote = SlRemote(RemoteAttestationService(accept_any_platform=True))
+        remote.issue_license("lic-old", 10_000)
+        server = server_cls(remote, port=0)
+        address = server.start()
         try:
-            report = machine.local_authority.generate_report(1, 1, nonce=1)
-            init = endpoint.call(
-                "init",
-                InitRequest(slid=None, report=report,
-                            platform_secret=machine.platform_secret),
-                clock=machine.clock, stats=machine.stats,
-            )
-            renew = endpoint.call(
-                "renew",
-                RenewRequest(slid=init.slid, license_id="lic-mix",
-                             license_blob=blob,
-                             network_reliability=1.0, health=1.0),
-                clock=machine.clock,
-            )
-            assert renew.status is Status.OK
-            # The connection settled on min(client preference, ceiling),
-            # and the server recorded it.
-            assert endpoint.transport.negotiated_wire == ceiling
-            snapshot = server.wire_stats.snapshot()
-            assert snapshot["connections_by_wire"] == {str(ceiling): 1}
+            before = codec.encode_value(ledger_to_wire(remote.ledger("lic-old")))
+            wrong_magic = bytearray(codec.encode_request("ledger_probe", None))
+            wrong_magic[0] ^= 0xFF
+            hostile = [json_envelope(2), bytes(wrong_magic)]
+            for count, payload in enumerate(hostile, start=1):
+                data = _exchange(address, payload)
+                assert data[0] == codec.V3_MAGIC
+                reply = codec.decode_reply(data)
+                assert reply.kind == "error"
+                assert "CodecError" in reply.error
+                assert "not a v3 frame" in reply.error
+                snapshot = server.wire_stats.snapshot()
+                assert snapshot["frames_rejected"] == count
+            after = codec.encode_value(ledger_to_wire(remote.ledger("lic-old")))
+            assert after == before
+            assert remote.renewals_served == 0
+            good = codec.decode_reply(_exchange(
+                address, codec.encode_request("ledger_probe", None, 1)
+            ))
+            assert good.kind == "response"
+            assert server.wire_stats.snapshot()["frames_rejected"] == 2
         finally:
-            endpoint.close()
             server.stop()
 
-    def test_mixed_version_sharded_fleet(self):
-        """shard-0 speaks v3 binary, shard-1 is pinned to v2 JSON: one
-        client fleet renews across both (including a coalesced batch
-        the router splits by owner) and each connection settles on its
-        own server's ceiling."""
-        from repro.core.sl_remote import SlRemote
-        from repro.net.endpoint import connect
-        from repro.net.server import LeaseServer
-        from repro.net.sharding import HashRing, default_shard_names
-        from repro.sgx import RemoteAttestationService, SgxMachine
-
+    def test_sharded_fleet_splits_a_batch_by_owner_across_live_servers(self):
+        """One client fleet renews across two live shard servers with a
+        single coalesced batch the router splits by ring owner."""
         names = default_shard_names(2)
         ring = HashRing(names)
-        ceilings = {names[0]: codec.WIRE_V3, names[1]: codec.WIRE_VERSION}
         ras = RemoteAttestationService(accept_any_platform=True)
         remotes = {name: SlRemote(ras) for name in names}
         blobs = {}
@@ -673,15 +643,12 @@ class TestMixedVersionFleet:
                 license_id, 10_000
             ).license_blob()
         assert len({ring.shard_for(lid) for lid in blobs}) == 2
-        servers = {
-            name: LeaseServer(remotes[name], port=0, wire=ceilings[name])
-            for name in names
-        }
+        servers = {name: LeaseServer(remotes[name], port=0) for name in names}
         authority = ",".join(
             "{}:{}".format(*servers[name].start()) for name in names
         )
-        endpoint = connect(f"sl+sharded://{authority}?wire=3")
-        machine = SgxMachine("mixed-fleet")
+        endpoint = connect(f"sl+sharded://{authority}")
+        machine = SgxMachine("two-shards")
         try:
             report = machine.local_authority.generate_report(1, 1, nonce=1)
             init = endpoint.call(
@@ -700,14 +667,7 @@ class TestMixedVersionFleet:
             assert isinstance(reply, BatchResponse)
             assert len(reply.responses) == len(blobs)
             assert all(slot.status is Status.OK for slot in reply.responses)
-            negotiated = {
-                name: endpoint.transport.transports[name].negotiated_wire
-                for name in names
-            }
-            assert negotiated == {names[0]: codec.WIRE_V3,
-                                  names[1]: codec.WIRE_VERSION}
-            # Every grant landed on its ring owner's ledger, regardless
-            # of which wire revision carried it.
+            # Every grant landed on its ring owner's ledger.
             for license_id in blobs:
                 owner = remotes[ring.shard_for(license_id)]
                 outstanding = owner.ledger(license_id).outstanding
@@ -719,18 +679,13 @@ class TestMixedVersionFleet:
 
 
 # ----------------------------------------------------------------------
-# Telemetry field evolution: older peers and the growing RenewRequest
+# Field tables are exact: both sides run the same dataclasses
 # ----------------------------------------------------------------------
-class _LegacyRenewRequest:
-    """The six-field RenewRequest an older peer still ships."""
-
-
 class TestTelemetryFieldCompat:
-    """``RenewRequest`` grew trailing telemetry fields; every older
-    peer — v1/v2 JSON envelopes and v3 binaries built from the previous
-    dataclass — must keep decoding, with the telemetry defaulted."""
-
-    TELEMETRY = {"rtt_seconds": 0.0, "retries": 0, "reconnects": 0}
+    """``RenewRequest`` carries trailing telemetry fields.  Both ends
+    of every connection are built from one source tree, so a frame
+    whose field count differs from this side's table — shorter or
+    longer — is corruption or a foreign peer, and is refused."""
 
     def _request(self, **overrides):
         fields = dict(slid=7, license_id="lic-tele", license_blob=b"\x01bl",
@@ -739,6 +694,18 @@ class TestTelemetryFieldCompat:
         fields.update(overrides)
         return RenewRequest(**fields)
 
+    def _frame_from_skewed_peer(self, skewed, message) -> bytes:
+        """Encode ``message`` as a peer whose ``RenewRequest`` is the
+        ``skewed`` dataclass would."""
+        real = codec.MESSAGE_TYPES["RenewRequest"]
+        try:
+            codec.MESSAGE_TYPES["RenewRequest"] = skewed
+            codec._FIELD_TABLES.pop("RenewRequest", None)
+            return codec.encode_request("renew", message, request_id=4)
+        finally:
+            codec.MESSAGE_TYPES["RenewRequest"] = real
+            codec._FIELD_TABLES.pop("RenewRequest", None)
+
     @given(message=renew_requests)
     def test_v3_round_trip_preserves_telemetry(self, message):
         data = codec.encode_request("renew", message, request_id=1,
@@ -746,33 +713,11 @@ class TestTelemetryFieldCompat:
         _, rebuilt, _ = codec.decode_request(data)
         assert rebuilt == message
 
-    @pytest.mark.parametrize("version", codec.JSON_WIRE_VERSIONS)
-    def test_json_round_trip_preserves_telemetry(self, version):
-        message = self._request()
-        data = codec.encode_request("renew", message, request_id=1,
-                                    version=version)
-        data = json.dumps(json.loads(data.decode())).encode()
-        _, rebuilt, _ = codec.decode_request(data)
-        assert rebuilt == message
-
-    @pytest.mark.parametrize("version", codec.JSON_WIRE_VERSIONS)
-    def test_json_peer_without_telemetry_decodes_defaulted(self, version):
-        """A v1/v2 peer built before the telemetry fields omits the
-        keys entirely; ``from_wire`` fills the defaults."""
-        message = self._request()
-        data = codec.encode_request("renew", message, request_id=1,
-                                    version=version)
-        envelope = json.loads(data.decode())
-        wire_fields = envelope["body"]["fields"]
-        for key in self.TELEMETRY:
-            del wire_fields[key]
-        _, rebuilt, _ = codec.decode_request(json.dumps(envelope).encode())
-        assert rebuilt == self._request(**self.TELEMETRY)
-
-    def test_older_v3_peer_short_field_table_decodes_defaulted(self):
-        """An older v3 peer's field table stops at ``weight``: the
-        frame carries six packed values.  This side accepts the prefix
-        and lets the dataclass defaults fill the telemetry tail."""
+    def test_shorter_field_table_than_ours_is_fatal(self):
+        """A frame whose table stops at ``weight`` carries six packed
+        values.  Filling the tail from defaults would let a truncating
+        attacker (or a stale binary) silently zero the telemetry, so it
+        raises."""
         import dataclasses as dc
 
         legacy = dc.make_dataclass(
@@ -780,25 +725,15 @@ class TestTelemetryFieldCompat:
             [("slid", int), ("license_id", str), ("license_blob", bytes),
              ("network_reliability", float), ("health", float),
              ("weight", float, dc.field(default=1.0))],
-            namespace={"to_wire": lambda self: dc.asdict(self)},
         )
         message = self._request()
         old = legacy(slid=message.slid, license_id=message.license_id,
                      license_blob=message.license_blob,
                      network_reliability=message.network_reliability,
                      health=message.health, weight=message.weight)
-        real = codec.MESSAGE_TYPES["RenewRequest"]
-        try:
-            codec.MESSAGE_TYPES["RenewRequest"] = legacy
-            codec._FIELD_TABLES.pop("RenewRequest", None)
-            data = codec.encode_request("renew", old, request_id=4,
-                                        version=codec.WIRE_V3)
-        finally:
-            codec.MESSAGE_TYPES["RenewRequest"] = real
-            codec._FIELD_TABLES.pop("RenewRequest", None)
-        _, rebuilt, _ = codec.decode_request(data)
-        assert isinstance(rebuilt, RenewRequest)
-        assert rebuilt == self._request(**self.TELEMETRY)
+        data = self._frame_from_skewed_peer(legacy, old)
+        with pytest.raises(codec.CodecError, match="field table"):
+            codec.decode_request(data)
 
     def test_longer_field_table_than_ours_stays_fatal(self):
         """The reverse skew — a frame carrying *more* fields than this
@@ -811,19 +746,10 @@ class TestTelemetryFieldCompat:
              else (f.name, f.type, dc.field(default=f.default))
              for f in dc.fields(RenewRequest)]
             + [("congestion_window", int, dc.field(default=0))],
-            namespace={"to_wire": lambda self: dc.asdict(self)},
         )
         message = self._request()
         new = future(**{f.name: getattr(message, f.name)
                         for f in dc.fields(RenewRequest)})
-        real = codec.MESSAGE_TYPES["RenewRequest"]
-        try:
-            codec.MESSAGE_TYPES["RenewRequest"] = future
-            codec._FIELD_TABLES.pop("RenewRequest", None)
-            data = codec.encode_request("renew", new, request_id=4,
-                                        version=codec.WIRE_V3)
-        finally:
-            codec.MESSAGE_TYPES["RenewRequest"] = real
-            codec._FIELD_TABLES.pop("RenewRequest", None)
+        data = self._frame_from_skewed_peer(future, new)
         with pytest.raises(codec.CodecError, match="field table"):
             codec.decode_request(data)

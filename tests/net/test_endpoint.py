@@ -1,23 +1,17 @@
-"""The endpoint factory: URL parsing, config validation, wrapper parity.
+"""The endpoint factory: URL parsing and config validation.
 
-Three contracts are held here:
+Two contracts are held here:
 
 * ``parse_endpoint`` / ``format_endpoint`` are exact inverses, and a
   malformed endpoint string is rejected whole (property-tested).
 * :class:`EndpointConfig` is the *single* validation point for every
   transport knob; query parameters, keyword overrides, and base configs
   fold together with URL-wins precedence.
-* The four legacy ``connect_*`` functions are deprecated wrappers over
-  :func:`repro.net.connect` and produce byte-identical protocol
-  outcomes — same responses, same wire bytes, same ledger state.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.protocol import InitRequest, RenewRequest
-from repro.core.sl_remote import SlRemote
-from repro.net import codec
 from repro.net.endpoint import (
     ENDPOINT_SCHEMES,
     EndpointConfig,
@@ -27,18 +21,6 @@ from repro.net.endpoint import (
     format_endpoint,
     parse_endpoint,
 )
-from repro.net.rpc import RpcError
-from repro.net.network import NetworkConditions, SimulatedLink
-from repro.net.rpc import connect_async_tcp, connect_remote, connect_tcp
-from repro.net.sharding import (
-    HashRing,
-    connect_sharded_tcp,
-    default_shard_names,
-)
-from repro.sgx import RemoteAttestationService, SgxMachine
-from repro.sim.rng import DeterministicRng
-
-POOL = 10_000
 
 # ----------------------------------------------------------------------
 # URL grammar strategies (no separator characters in atoms)
@@ -127,6 +109,7 @@ class TestEndpointGrammar:
         ("sl://h:1,g:2", "exactly one host:port"),
         ("sl+async://h:1,g:2", "exactly one host:port"),
         ("sl://h:1?bogus=1", "unknown endpoint parameter"),
+        ("sl://h:1?wire=3", "unknown endpoint parameter"),
         ("sl://h:1?naked", "not k=v"),
         ("sl+sharded://a:1,b:2?names=onlyone",
          "one shard name per address"),
@@ -199,215 +182,3 @@ class TestEndpointConfig:
         with pytest.raises(ValueError, match="apply only to"):
             connect("sl://127.0.0.1:1", remote=object())
 
-
-# ----------------------------------------------------------------------
-# Deprecated wrappers: same factory underneath, byte-identical outcomes
-# ----------------------------------------------------------------------
-def fresh_stack(seed=3):
-    """One remote + one client machine + one deterministic link."""
-    ras = RemoteAttestationService(accept_any_platform=True)
-    remote = SlRemote(ras)
-    blob = remote.issue_license("lic-eq", POOL).license_blob()
-    machine = SgxMachine("client")
-    link = SimulatedLink(NetworkConditions(), DeterministicRng(seed))
-    return remote, machine, link, blob
-
-
-def run_protocol_script(endpoint, machine, blob):
-    """The scripted session both halves of every equivalence run: init,
-    two renews, a unit return.  Returns the encoded wire form of each
-    response — *byte* identity is the bar, not just value equality."""
-    outcomes = []
-    report = machine.local_authority.generate_report(1, 1, nonce=1)
-    init = endpoint.call(
-        "init",
-        InitRequest(slid=None, report=report,
-                    platform_secret=machine.platform_secret),
-        clock=machine.clock, stats=machine.stats,
-    )
-    outcomes.append(codec.encode_response(init))
-    for _ in range(2):
-        renew = endpoint.call(
-            "renew",
-            RenewRequest(slid=init.slid, license_id="lic-eq",
-                         license_blob=blob, network_reliability=1.0,
-                         health=1.0),
-            clock=machine.clock,
-        )
-        outcomes.append(codec.encode_response(renew))
-    returned = endpoint.call("return_units", (init.slid, "lic-eq", 1),
-                             clock=machine.clock)
-    outcomes.append(codec.encode_response(returned))
-    return outcomes
-
-
-class TestDeprecatedWrapperEquivalence:
-    @pytest.fixture(autouse=True)
-    def _permissive_mode(self, monkeypatch):
-        # These tests exercise the deprecated wrappers on purpose; CI
-        # runs the suite with REPRO_STRICT_ENDPOINTS=1, which turns the
-        # wrappers into hard errors everywhere else.
-        monkeypatch.delenv("REPRO_STRICT_ENDPOINTS", raising=False)
-
-    def test_all_four_wrappers_warn(self):
-        remote, _machine, link, _blob = fresh_stack()
-        with pytest.warns(DeprecationWarning, match="connect_remote"):
-            connect_remote(remote, link).close()
-        with pytest.warns(DeprecationWarning, match="connect_tcp"):
-            with pytest.raises(RpcError, match="dial attempts"):
-                connect_tcp("127.0.0.1", 9, reconnect_attempts=1,
-                            reconnect_backoff_seconds=0.0,
-                            timeout_seconds=0.2).call(
-                    "init", None, clock=SgxMachine("x").clock
-                )
-        with pytest.warns(DeprecationWarning, match="connect_async_tcp"):
-            with pytest.raises(RpcError, match="dial attempts"):
-                connect_async_tcp("127.0.0.1", 9, reconnect_attempts=1,
-                                  reconnect_backoff_seconds=0.0,
-                                  timeout_seconds=0.2).call(
-                    "init", None, clock=SgxMachine("x").clock
-                )
-        with pytest.warns(DeprecationWarning, match="connect_sharded_tcp"):
-            with pytest.raises(ValueError,
-                               match="one shard name per address"):
-                connect_sharded_tcp([("127.0.0.1", 1)],
-                                    shard_names=["a", "b"])
-
-    def test_connect_remote_unknown_transport_still_rejected(self):
-        remote, _machine, link, _blob = fresh_stack()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown loopback"):
-                connect_remote(remote, link, transport="tcp")
-
-    @pytest.mark.parametrize("legacy,scheme", [
-        ("in-process", "sl+inproc://"),
-        ("serialized", "sl+serialized://"),
-    ])
-    def test_connect_remote_equals_factory(self, legacy, scheme):
-        old_outcomes, old_probe = self._loopback_run(
-            lambda remote, link: connect_remote(remote, link,
-                                                transport=legacy)
-        )
-        new_outcomes, new_probe = self._loopback_run(
-            lambda remote, link: connect(scheme, remote=remote, link=link)
-        )
-        assert old_outcomes == new_outcomes
-        assert old_probe == new_probe
-
-    @staticmethod
-    def _loopback_run(make_endpoint):
-        remote, machine, link, blob = fresh_stack()
-        endpoint = make_endpoint(remote, link)
-        try:
-            outcomes = run_protocol_script(endpoint, machine, blob)
-        finally:
-            endpoint.close()
-        return outcomes, remote.handle_ledger_probe()
-
-    @pytest.mark.parametrize("wrapper,scheme,io", [
-        (connect_tcp, "sl", "threads"),
-        (connect_async_tcp, "sl+async", "async"),
-    ])
-    def test_socket_wrappers_equal_factory(self, wrapper, scheme, io):
-        old_outcomes, old_probe = self._wire_run(
-            io, lambda host, port: wrapper(host, port)
-        )
-        new_outcomes, new_probe = self._wire_run(
-            io, lambda host, port: connect(f"{scheme}://{host}:{port}")
-        )
-        assert old_outcomes == new_outcomes
-        assert old_probe == new_probe
-
-    @staticmethod
-    def _wire_run(io, make_endpoint):
-        remote, machine, _link, blob = fresh_stack()
-        if io == "async":
-            from repro.net.aio import AsyncLeaseServer as server_cls
-        else:
-            from repro.net.server import LeaseServer as server_cls
-        server = server_cls(remote)
-        host, port = server.start()
-        try:
-            endpoint = make_endpoint(host, port)
-            try:
-                outcomes = run_protocol_script(endpoint, machine, blob)
-            finally:
-                endpoint.close()
-        finally:
-            server.stop()
-        return outcomes, remote.handle_ledger_probe()
-
-    def test_sharded_wrapper_equals_factory(self):
-        def legacy(addresses):
-            return connect_sharded_tcp(addresses)
-
-        def factory(addresses):
-            url = "sl+sharded://" + ",".join(
-                f"{host}:{port}" for host, port in addresses
-            )
-            return connect(url)
-
-        old_outcomes, old_probes = self._fleet_run(legacy)
-        new_outcomes, new_probes = self._fleet_run(factory)
-        assert old_outcomes == new_outcomes
-        assert old_probes == new_probes
-
-    @staticmethod
-    def _fleet_run(make_endpoint):
-        from repro.net.server import LeaseServer
-
-        names = default_shard_names(2)
-        ring = HashRing(names)
-        ras = RemoteAttestationService(accept_any_platform=True)
-        remotes = {name: SlRemote(ras) for name in names}
-        blob = remotes[ring.shard_for("lic-eq")].issue_license(
-            "lic-eq", POOL
-        ).license_blob()
-        machine = SgxMachine("client")
-        servers = [LeaseServer(remotes[name], port=0) for name in names]
-        for server in servers:
-            server.start()
-        try:
-            endpoint = make_endpoint(
-                [server.address for server in servers]
-            )
-            try:
-                outcomes = run_protocol_script(endpoint, machine, blob)
-            finally:
-                endpoint.close()
-        finally:
-            for server in servers:
-                server.stop()
-        probes = {name: remote.handle_ledger_probe()
-                  for name, remote in remotes.items()}
-        return outcomes, probes
-
-
-class TestStrictEndpointMode:
-    """``REPRO_STRICT_ENDPOINTS=1`` turns the legacy wrappers into hard
-    errors, which is how CI proves nothing in-repo still depends on
-    them."""
-
-    def test_legacy_wrappers_raise_under_strict_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_ENDPOINTS", "1")
-        remote, _machine, link, _blob = fresh_stack()
-        with pytest.raises(RuntimeError, match="connect_remote is deprecated"):
-            connect_remote(remote, link)
-        with pytest.raises(RuntimeError, match="connect_tcp is deprecated"):
-            connect_tcp("127.0.0.1", 9)
-        with pytest.raises(RuntimeError,
-                           match="connect_async_tcp is deprecated"):
-            connect_async_tcp("127.0.0.1", 9)
-        with pytest.raises(RuntimeError,
-                           match="connect_sharded_tcp is deprecated"):
-            connect_sharded_tcp([("127.0.0.1", 1)])
-
-    def test_factory_is_unaffected_by_strict_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_ENDPOINTS", "1")
-        remote, machine, link, blob = fresh_stack()
-        endpoint = connect("sl+inproc://", remote=remote, link=link)
-        try:
-            outcomes = run_protocol_script(endpoint, machine, blob)
-        finally:
-            endpoint.close()
-        assert outcomes

@@ -13,6 +13,7 @@ import pytest
 from repro.core.licensefile import VENDOR_SECRET, mint_license_blob
 from repro.core.protocol import InitRequest, RenewRequest, Status
 from repro.core.sl_remote import SlRemote
+from repro.net import codec
 from repro.net.endpoint import connect
 from repro.net.server import LeaseServer
 from repro.redteam.proxy import CaptureProxy, CapturedFrame, inject_frames
@@ -55,10 +56,9 @@ def live_capture():
         frames = tap.captured("c2s", method="renew")
     assert frames, "no renewal frame crossed the tap"
     payload = frames[-1].payload
-    # The default client negotiates the binary wire: the captured frame
-    # must be v3 (not a JSON envelope), or the sweep proves nothing
-    # about the CRC-protected format.
-    assert not payload.lstrip().startswith(b"{")
+    # The captured frame must be the CRC-protected format, or the
+    # sweep proves nothing about it.
+    assert payload[0] == codec.V3_MAGIC
     yield server, remote, payload
     server.stop()
 

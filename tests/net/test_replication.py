@@ -20,6 +20,7 @@ import pytest
 from repro.core.protocol import InitRequest, RenewRequest, ShutdownNotice, \
     Status
 from repro.core.sl_remote import SlRemote
+from repro.net import codec
 from repro.net.replication import (
     BootstrapChunk,
     DEFAULT_LAG_BUDGET_UNITS,
@@ -331,17 +332,14 @@ class TestAdaptiveLagBudget:
     def test_budgets_survive_the_wire(self):
         batch = ReplicaBatch(source="a", budget=32, deltas=(),
                              budgets={"lic": 321})
-        assert ReplicaBatch.from_wire(batch.to_wire()) == batch
+        assert codec.decode_value(codec.encode_value(batch)) == batch
         snapshot = ShardSnapshot(
             source="a", seq=1, budget=32, licenses={}, identity={},
             budgets={"lic": 77},
         )
-        roundtrip = ShardSnapshot.from_wire(snapshot.to_wire())
+        roundtrip = codec.decode_value(codec.encode_value(snapshot))
+        assert roundtrip == snapshot
         assert roundtrip.budgets == {"lic": 77}
-        # v1 payloads without the field still decode (empty budgets).
-        legacy = dict(batch.to_wire())
-        legacy.pop("budgets")
-        assert ReplicaBatch.from_wire(legacy).budgets == {}
 
 
 # ----------------------------------------------------------------------
@@ -960,11 +958,7 @@ class TestEpochFencing:
 
     def test_epoch_survives_the_wire(self):
         batch = ReplicaBatch(source="a", budget=32, deltas=(), epoch=7)
-        assert ReplicaBatch.from_wire(batch.to_wire()).epoch == 7
-        # Pre-quorum payloads decode to epoch 0 (never fenced out).
-        legacy = dict(batch.to_wire())
-        legacy.pop("epoch")
-        assert ReplicaBatch.from_wire(legacy).epoch == 0
+        assert codec.decode_value(codec.encode_value(batch)).epoch == 7
 
 
 # ----------------------------------------------------------------------
@@ -1047,7 +1041,9 @@ class TestWalBootstrap:
             snapshot={"seq": 1, "licenses": {}},
             records=b"\x00\x01\xff", budgets={"lic": 64}, epoch=2,
         )
-        assert BootstrapChunk.from_wire(chunk.to_wire()) == chunk
+        rebuilt = codec.decode_value(codec.encode_value(chunk))
+        assert rebuilt == chunk
+        assert isinstance(rebuilt.records, bytes)
 
     def test_wal_export_iter_roundtrip(self, tmp_path):
         remote, persistence = self.build_durable(tmp_path)
