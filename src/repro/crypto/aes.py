@@ -3,9 +3,20 @@
 SGX seals data with AES-GCM in hardware; the paper's ``Protect``/
 ``Validate`` routines (Algorithms 2-3) need only an authenticated
 encrypt/decrypt pair.  We implement AES-128 from the FIPS-197
-specification (table-driven) and run it in counter mode; authentication
-is provided on top by :mod:`repro.crypto.sealing` (encrypt-then-check of
-an embedded SHA-256).
+specification and run it in counter mode; authentication is provided on
+top by :mod:`repro.crypto.sealing` (encrypt-then-check of an embedded
+SHA-256).
+
+The cipher is the standard 32-bit T-table formulation: the state is
+four big-endian column words, and SubBytes + ShiftRows + MixColumns for
+one output column is four table lookups XORed together (tables
+``_TE0.._TE3``, each a byte rotation of the first; ``_TD0.._TD3`` for
+the equivalent inverse cipher).  The tables are built once at import.
+Key schedules are 44 words, memoised per 16-byte key in a small bounded
+cache: the WAL seals every record under one key and never re-expands
+it, while SL-Local's fresh-key-per-seal traffic just cycles the cache.
+CTR mode generates the keystream straight from ``(nonce, counter)``
+words and applies it with one wide integer XOR.
 
 The implementation is self-contained and verified against FIPS-197 /
 NIST SP 800-38A test vectors in the test suite.
@@ -14,17 +25,14 @@ NIST SP 800-38A test vectors in the test suite.
 from __future__ import annotations
 
 import struct
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
-_SBOX: List[int] = []
 
-
-def _build_sbox() -> None:
+def _build_sbox() -> List[int]:
     """Construct the AES S-box from GF(2^8) inverses plus the affine map."""
-    if _SBOX:
-        return
     # Multiplicative inverses in GF(2^8) via exp/log tables (generator 3).
-    exp = [0] * 512
+    exp = [0] * 255
     log = [0] * 256
     x = 1
     for i in range(255):
@@ -33,11 +41,10 @@ def _build_sbox() -> None:
         # multiply x by 3 in GF(2^8)
         x ^= (x << 1) ^ (0x11B if x & 0x80 else 0)
         x &= 0xFF
-    for i in range(255, 512):
-        exp[i] = exp[i - 255]
 
+    sbox = []
     for value in range(256):
-        inv = 0 if value == 0 else exp[255 - log[value]]
+        inv = 0 if value == 0 else exp[(255 - log[value]) % 255]
         # affine transformation
         s = inv
         result = 0x63
@@ -45,184 +52,192 @@ def _build_sbox() -> None:
             s = ((s << 1) | (s >> 7)) & 0xFF
             result ^= s
         result ^= inv
-        _SBOX.append(result)
-
-
-_build_sbox()
-
-_RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
-
-
-def _xtime(a: int) -> int:
-    """Multiply by x (i.e. 2) in GF(2^8)."""
-    a <<= 1
-    if a & 0x100:
-        a ^= 0x11B
-    return a & 0xFF
-
-
-# Precomputed multiply-by-2 and multiply-by-3 tables for MixColumns.
-_MUL2 = [_xtime(i) for i in range(256)]
-_MUL3 = [_xtime(i) ^ i for i in range(256)]
+        sbox.append(result)
+    return sbox
 
 
 def _gf_mul(a: int, b: int) -> int:
-    """General GF(2^8) multiplication (for InvMixColumns)."""
+    """GF(2^8) multiplication (only used to build the tables)."""
     result = 0
     while b:
         if b & 1:
             result ^= a
-        a = _xtime(a)
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
         b >>= 1
     return result
 
 
-# Inverse S-box and the 9/11/13/14 tables for the inverse cipher.
+def _rotations(table: List[int]) -> Tuple[List[int], ...]:
+    """``table`` and its three successive right rotations by one byte."""
+    tables = [table]
+    for _ in range(3):
+        table = [(w >> 8) | ((w & 0xFF) << 24) for w in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+_SBOX = _build_sbox()
 _INV_SBOX = [0] * 256
 for _value, _mapped in enumerate(_SBOX):
     _INV_SBOX[_mapped] = _value
-_MUL9 = [_gf_mul(i, 9) for i in range(256)]
-_MUL11 = [_gf_mul(i, 11) for i in range(256)]
-_MUL13 = [_gf_mul(i, 13) for i in range(256)]
-_MUL14 = [_gf_mul(i, 14) for i in range(256)]
+
+# _TE0[a] is the MixColumns column (2s, s, s, 3s) for s = S[a]; _TD0[a]
+# is the InvMixColumns column (14s, 9s, 13s, 11s) for s = InvS[a].
+_TE0, _TE1, _TE2, _TE3 = _rotations([
+    (_gf_mul(s, 2) << 24) | (s << 16) | (s << 8) | _gf_mul(s, 3)
+    for s in _SBOX
+])
+_TD0, _TD1, _TD2, _TD3 = _rotations([
+    (_gf_mul(s, 14) << 24) | (_gf_mul(s, 9) << 16)
+    | (_gf_mul(s, 13) << 8) | _gf_mul(s, 11)
+    for s in _INV_SBOX
+])
+
+_RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
+_FOUR_WORDS = struct.Struct(">4I")
+
+
+@lru_cache(maxsize=64)
+def _expand_key(key: bytes) -> Tuple[int, ...]:
+    """FIPS-197 key schedule: 11 round keys as 44 big-endian words."""
+    if len(key) != 16:
+        raise ValueError(f"AES-128 key must be 16 bytes, got {len(key)}")
+    sbox = _SBOX
+    words = list(_FOUR_WORDS.unpack(key))
+    for i in range(4, 44):
+        temp = words[i - 1]
+        if i % 4 == 0:
+            # SubWord(RotWord(temp)) ^ Rcon
+            temp = (
+                (sbox[(temp >> 16) & 0xFF] << 24)
+                | (sbox[(temp >> 8) & 0xFF] << 16)
+                | (sbox[temp & 0xFF] << 8)
+                | sbox[temp >> 24]
+            ) ^ (_RCON[i // 4 - 1] << 24)
+        words.append(words[i - 4] ^ temp)
+    return tuple(words)
+
+
+def _inverse_key(rk: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Round keys for the equivalent inverse cipher (FIPS-197 5.3.5):
+    reversed round order, InvMixColumns applied to the inner nine."""
+    sbox = _SBOX
+    words = []
+    for rnd in range(10, -1, -1):
+        for w in rk[4 * rnd:4 * rnd + 4]:
+            if 0 < rnd < 10:
+                w = (_TD0[sbox[w >> 24]] ^ _TD1[sbox[(w >> 16) & 0xFF]]
+                     ^ _TD2[sbox[(w >> 8) & 0xFF]] ^ _TD3[sbox[w & 0xFF]])
+            words.append(w)
+    return tuple(words)
+
+
+def _encrypt_words(rk: Tuple[int, ...], s0: int, s1: int, s2: int,
+                   s3: int) -> Tuple[int, int, int, int]:
+    """The forward cipher on four column words (round 0 key included)."""
+    te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+    s0 ^= rk[0]
+    s1 ^= rk[1]
+    s2 ^= rk[2]
+    s3 ^= rk[3]
+    for r in range(4, 40, 4):
+        t0 = (te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF]
+              ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[r])
+        t1 = (te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF]
+              ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[r + 1])
+        t2 = (te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF]
+              ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[r + 2])
+        s3 = (te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF]
+              ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[r + 3])
+        s0, s1, s2 = t0, t1, t2
+    sbox = _SBOX
+    return (
+        ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
+         | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]) ^ rk[40],
+        ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
+         | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]) ^ rk[41],
+        ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
+         | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]) ^ rk[42],
+        ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
+         | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ rk[43],
+    )
 
 
 class Aes128:
-    """AES-128 block cipher (encryption direction only; CTR needs no inverse)."""
+    """AES-128 block cipher (CTR needs only the forward direction)."""
 
     BLOCK_SIZE = 16
-    ROUNDS = 10
 
     def __init__(self, key: bytes) -> None:
-        if len(key) != 16:
-            raise ValueError(f"AES-128 key must be 16 bytes, got {len(key)}")
-        self._round_keys = self._expand_key(key)
-
-    @staticmethod
-    def _expand_key(key: bytes) -> List[List[int]]:
-        """FIPS-197 key schedule producing 11 round keys of 16 bytes each."""
-        words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
-        for i in range(4, 4 * (Aes128.ROUNDS + 1)):
-            temp = list(words[i - 1])
-            if i % 4 == 0:
-                temp = temp[1:] + temp[:1]  # RotWord
-                temp = [_SBOX[b] for b in temp]  # SubWord
-                temp[0] ^= _RCON[i // 4 - 1]
-            words.append([a ^ b for a, b in zip(words[i - 4], temp)])
-        round_keys = []
-        for r in range(Aes128.ROUNDS + 1):
-            rk: List[int] = []
-            for w in words[4 * r : 4 * r + 4]:
-                rk.extend(w)
-            round_keys.append(rk)
-        return round_keys
+        self._round_keys = _expand_key(bytes(key))
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
         if len(block) != 16:
             raise ValueError("AES block must be 16 bytes")
-        # state is column-major flattened: byte (row r, col c) at 4*c + r,
-        # which matches the natural byte order of the input block.
-        state = list(block)
-        self._add_round_key(state, 0)
-        for rnd in range(1, self.ROUNDS):
-            self._sub_bytes(state)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, rnd)
-        self._sub_bytes(state)
-        self._shift_rows(state)
-        self._add_round_key(state, self.ROUNDS)
-        return bytes(state)
+        return _FOUR_WORDS.pack(
+            *_encrypt_words(self._round_keys, *_FOUR_WORDS.unpack(block))
+        )
 
     def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 16-byte block (FIPS-197 inverse cipher).
+        """Decrypt one 16-byte block (FIPS-197 equivalent inverse cipher).
 
         CTR mode never calls this; it exists so the cipher is complete
         (and so the ECB known-answer vectors can be checked both ways).
         """
         if len(block) != 16:
             raise ValueError("AES block must be 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self.ROUNDS)
-        for rnd in range(self.ROUNDS - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, rnd)
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, 0)
-        return bytes(state)
-
-    def _add_round_key(self, state: List[int], rnd: int) -> None:
-        rk = self._round_keys[rnd]
-        for i in range(16):
-            state[i] ^= rk[i]
-
-    @staticmethod
-    def _sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = _SBOX[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: List[int]) -> None:
-        # state is column-major: byte (row r, col c) at index 4*c + r.
-        for r in range(1, 4):
-            row = [state[4 * c + r] for c in range(4)]
-            row = row[r:] + row[:r]
-            for c in range(4):
-                state[4 * c + r] = row[c]
-
-    @staticmethod
-    def _mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3
-            state[4 * c + 1] = a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3
-            state[4 * c + 2] = a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3]
-            state[4 * c + 3] = _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3]
-
-    @staticmethod
-    def _inv_sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = _INV_SBOX[state[i]]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> None:
-        for r in range(1, 4):
-            row = [state[4 * c + r] for c in range(4)]
-            row = row[-r:] + row[:-r]
-            for c in range(4):
-                state[4 * c + r] = row[c]
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            a0, a1, a2, a3 = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]
-            state[4 * c + 1] = _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]
-            state[4 * c + 2] = _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]
-            state[4 * c + 3] = _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3]
-
-
-def _ctr_keystream(cipher: Aes128, nonce: bytes, nblocks: int) -> bytes:
-    """Generate ``nblocks`` blocks of CTR keystream for an 8-byte nonce."""
-    if len(nonce) != 8:
-        raise ValueError("CTR nonce must be 8 bytes")
-    out = bytearray()
-    for counter in range(nblocks):
-        block = nonce + struct.pack(">Q", counter)
-        out.extend(cipher.encrypt_block(block))
-    return bytes(out)
+        rk = _inverse_key(self._round_keys)
+        td0, td1, td2, td3 = _TD0, _TD1, _TD2, _TD3
+        s0, s1, s2, s3 = (w ^ k for w, k in
+                          zip(_FOUR_WORDS.unpack(block), rk))
+        for r in range(4, 40, 4):
+            s0, s1, s2, s3 = (
+                td0[s0 >> 24] ^ td1[(s3 >> 16) & 0xFF]
+                ^ td2[(s2 >> 8) & 0xFF] ^ td3[s1 & 0xFF] ^ rk[r],
+                td0[s1 >> 24] ^ td1[(s0 >> 16) & 0xFF]
+                ^ td2[(s3 >> 8) & 0xFF] ^ td3[s2 & 0xFF] ^ rk[r + 1],
+                td0[s2 >> 24] ^ td1[(s1 >> 16) & 0xFF]
+                ^ td2[(s0 >> 8) & 0xFF] ^ td3[s3 & 0xFF] ^ rk[r + 2],
+                td0[s3 >> 24] ^ td1[(s2 >> 16) & 0xFF]
+                ^ td2[(s1 >> 8) & 0xFF] ^ td3[s0 & 0xFF] ^ rk[r + 3],
+            )
+        inv = _INV_SBOX
+        return _FOUR_WORDS.pack(
+            ((inv[s0 >> 24] << 24) | (inv[(s3 >> 16) & 0xFF] << 16)
+             | (inv[(s2 >> 8) & 0xFF] << 8) | inv[s1 & 0xFF]) ^ rk[40],
+            ((inv[s1 >> 24] << 24) | (inv[(s0 >> 16) & 0xFF] << 16)
+             | (inv[(s3 >> 8) & 0xFF] << 8) | inv[s2 & 0xFF]) ^ rk[41],
+            ((inv[s2 >> 24] << 24) | (inv[(s1 >> 16) & 0xFF] << 16)
+             | (inv[(s0 >> 8) & 0xFF] << 8) | inv[s3 & 0xFF]) ^ rk[42],
+            ((inv[s3 >> 24] << 24) | (inv[(s2 >> 16) & 0xFF] << 16)
+             | (inv[(s1 >> 8) & 0xFF] << 8) | inv[s0 & 0xFF]) ^ rk[43],
+        )
 
 
 def aes128_ctr_encrypt(plaintext: bytes, key: bytes, nonce: bytes) -> bytes:
-    """Encrypt ``plaintext`` with AES-128-CTR; the nonce is 8 bytes."""
-    cipher = Aes128(key)
-    nblocks = (len(plaintext) + 15) // 16
-    stream = _ctr_keystream(cipher, nonce, nblocks)
-    return bytes(p ^ s for p, s in zip(plaintext, stream))
+    """Encrypt ``plaintext`` with AES-128-CTR; the nonce is 8 bytes.
+
+    Counter block ``i`` is ``nonce || i`` (64-bit big-endian counter
+    from zero).  The keystream words are gathered and applied to the
+    whole message with a single integer XOR.
+    """
+    if len(nonce) != 8:
+        raise ValueError("CTR nonce must be 8 bytes")
+    rk = _expand_key(bytes(key))
+    size = len(plaintext)
+    nblocks = (size + 15) // 16
+    n0, n1 = struct.unpack(">II", nonce)
+    words: List[int] = []
+    for counter in range(nblocks):
+        words += _encrypt_words(rk, n0, n1, counter >> 32,
+                                counter & 0xFFFFFFFF)
+    stream = struct.pack(f">{len(words)}I", *words)[:size]
+    return (
+        int.from_bytes(plaintext, "big") ^ int.from_bytes(stream, "big")
+    ).to_bytes(size, "big")
 
 
 def aes128_ctr_decrypt(ciphertext: bytes, key: bytes, nonce: bytes) -> bytes:

@@ -376,8 +376,11 @@ class _Reader:
             return tuple(items) if tag == _T_TUPLE else items
         if tag == _T_MAP:
             (count,) = _U32.unpack(self.take(_U32.size))
-            return {self.read_value(depth + 1): self.read_value(depth + 1)
-                    for _ in range(count)}
+            try:
+                return {self.read_value(depth + 1): self.read_value(depth + 1)
+                        for _ in range(count)}
+            except TypeError:
+                raise CodecError("unhashable map key") from None
         if tag == _T_ENUM:
             name = self.read_str()
             cls = ENUM_TYPES.get(name)

@@ -370,9 +370,14 @@ class ReplicationSource:
                 # replica anywhere, so there is nothing to lag.
                 for peer in self._live_followers(license_id):
                     bucket = self._unacked.setdefault(peer, {})
-                    bucket[license_id] = (
-                        bucket.get(license_id, 0) + fields["units"]
-                    )
+                    lag = bucket.get(license_id, 0) + fields["units"]
+                    bucket[license_id] = lag
+                    if lag >= self._shipped.get(peer, {}).get(
+                            license_id, self.budget):
+                        # Budget spent: the next renewal of this license
+                        # is refused until this follower acks, so ship
+                        # now instead of at the next tick.
+                        self._wake.set()
 
     def grant_headroom(self, license_id: str,
                        proposed_units: int = 0) -> Optional[int]:

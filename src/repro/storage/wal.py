@@ -93,7 +93,14 @@ def derive_wal_key64(server_secret: bytes, name: str) -> int:
 
 
 def _seal(plaintext: bytes, key64: int) -> bytes:
-    """Protect (Algorithm 2) with a random nonce; returns nonce || ct."""
+    """Protect (Algorithm 2) with a random nonce; returns nonce || ct.
+
+    The cipher is :mod:`repro.crypto.aes`'s word-wide table-driven
+    AES-128-CTR.  A log seals every record under one key, so that
+    module's key-schedule cache expands it once per process; nothing is
+    cached here, and the seal is a pure function of (plaintext, key,
+    nonce) — the on-disk format does not depend on how AES is computed.
+    """
     nonce = os.urandom(_NONCE_LEN)
     ciphertext = aes128_ctr_encrypt(
         plaintext + sha256_digest(plaintext), expand_key64(key64), nonce

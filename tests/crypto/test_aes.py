@@ -1,5 +1,8 @@
 """Tests for the from-scratch AES-128 (FIPS-197 / SP 800-38A vectors)."""
 
+import hashlib
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,6 +95,69 @@ class TestCtrMode:
         plaintext = b"guarded content"
         ciphertext = aes128_ctr_encrypt(plaintext, self.KEY, self.NONCE)
         assert aes128_ctr_decrypt(ciphertext, b"wrongkey12345678", self.NONCE) != plaintext
+
+
+class TestCtrPinnedVectors:
+    """Ciphertexts produced by the byte-at-a-time cipher this module
+    replaced (PR 12's tree): the word-wide cipher must reproduce them
+    bit for bit, or sealed logs written before it stop recovering."""
+
+    KEY = bytes.fromhex("8e73b0f7da0e6452c810f32b809079e5")
+    NONCE = bytes.fromhex("f0f1f2f3f4f5f6f7")
+    LONG = (
+        "7b2bd4fd284ec14f87c4311ebbd143a91d9e4e265e409d29db338fc45fbc1e49"
+        "be499714ac1b506bccefcaea16b1b90c9ac42f66d1689f21d6a678e7ffb5e413"
+        "6e75f19bd4eb24c2f9e3cca2833168182eb7a5c1be12e866f102283d401a907c"
+        "276e8d0381bcce401dda59b12f0c44e3d44b8f1230803934d4974917b3ffaf4a"
+        "306a90aac5"
+    )
+
+    @staticmethod
+    def plaintext(length):
+        return bytes((i * 7 + 3) % 256 for i in range(length))
+
+    @pytest.mark.parametrize("length", (0, 1, 15, 16, 17, 133))
+    def test_short_messages(self, length):
+        """Every length is a prefix of one keystream (counter from 0)."""
+        ciphertext = aes128_ctr_encrypt(self.plaintext(length), self.KEY,
+                                        self.NONCE)
+        assert ciphertext.hex() == self.LONG[:2 * length]
+
+    def test_4101_bytes(self):
+        """257 blocks: crosses the one-byte counter and ends mid-block."""
+        ciphertext = aes128_ctr_encrypt(self.plaintext(4101), self.KEY,
+                                        self.NONCE)
+        assert len(ciphertext) == 4101
+        assert ciphertext[:133].hex() == self.LONG
+        assert ciphertext[-21:].hex() == \
+            "5b0f911c50fac72ab349deda4cd2505bf24256919f"
+        assert hashlib.sha256(ciphertext).hexdigest() == (
+            "909bb32585899487358d59cb13b43ba411a78b634ea06a016bfde531add97794"
+        )
+
+    def test_key_schedule_cache_eviction(self):
+        """The memoised schedules are bounded: a key pushed out by 300
+        others is re-expanded, not confused with a newer one."""
+        expected = aes128_ctr_encrypt(self.plaintext(133), self.KEY,
+                                      self.NONCE)
+        for i in range(300):
+            aes128_ctr_encrypt(b"x", i.to_bytes(16, "big"), self.NONCE)
+        assert aes128_ctr_encrypt(self.plaintext(133), self.KEY,
+                                  self.NONCE) == expected
+        assert expected.hex() == self.LONG
+
+
+@given(st.binary(max_size=512), st.binary(min_size=16, max_size=16),
+       st.binary(min_size=8, max_size=8))
+def test_ctr_is_xor_with_encrypted_counter_blocks(plaintext, key, nonce):
+    """The definition of the mode, block by block."""
+    cipher = Aes128(key)
+    expected = bytearray()
+    for offset in range(0, len(plaintext), 16):
+        pad = cipher.encrypt_block(nonce + struct.pack(">Q", offset // 16))
+        expected += bytes(
+            p ^ s for p, s in zip(plaintext[offset:offset + 16], pad))
+    assert aes128_ctr_encrypt(plaintext, key, nonce) == bytes(expected)
 
 
 @given(st.binary(max_size=512), st.binary(min_size=16, max_size=16),

@@ -3,6 +3,7 @@
 import json
 import socket
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -590,6 +591,18 @@ def _exchange(address, payload: bytes) -> bytes:
         return read_frame(sock)
 
 
+def _list_keyed_map_frame() -> bytes:
+    """A well-formed request whose body is a map keyed by a *list*.  No
+    Python dict can hold one, so encode a tuple key, retag it as a list
+    and recompute the checksum."""
+    data = bytearray(codec.encode_request("ledger_probe", {("k",): 1}, 1))
+    retag = bytes([codec._T_MAP]) + struct.pack(">I", 1)
+    data[data.rindex(retag + bytes([codec._T_TUPLE])) + len(retag)] = \
+        codec._T_LIST
+    body = bytes(data[codec._V3_PREFIX.size:])
+    return codec._V3_PREFIX.pack(codec.V3_MAGIC, zlib.crc32(body)) + body
+
+
 class TestLiveServersSpeakOneFormat:
     @pytest.mark.parametrize("server_cls", [LeaseServer, AsyncLeaseServer],
                              ids=["threads", "async"])
@@ -625,6 +638,32 @@ class TestLiveServersSpeakOneFormat:
             ))
             assert good.kind == "response"
             assert server.wire_stats.snapshot()["frames_rejected"] == 2
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("server_cls", [LeaseServer, AsyncLeaseServer],
+                             ids=["threads", "async"])
+    def test_unhashable_map_key_is_a_codec_error(self, server_cls):
+        """A CRC-valid frame whose map is keyed by a list is a typed
+        rejection, not a ``TypeError`` that kills the connection: the
+        same socket is answered again on its next frame."""
+        hostile = _list_keyed_map_frame()
+        with pytest.raises(codec.CodecError, match="unhashable map key"):
+            codec.decode_request_envelope(hostile)
+        remote = SlRemote(RemoteAttestationService(accept_any_platform=True))
+        server = server_cls(remote, port=0)
+        address = server.start()
+        try:
+            with socket.create_connection(address, timeout=5.0) as sock:
+                sock.settimeout(5.0)
+                sock.sendall(codec.frame(hostile))
+                reply = codec.decode_reply(read_frame(sock))
+                assert reply.kind == "error"
+                assert "CodecError: unhashable map key" in reply.error
+                assert server.wire_stats.snapshot()["frames_rejected"] == 1
+                sock.sendall(codec.frame(
+                    codec.encode_request("ledger_probe", None, 2)))
+                assert codec.decode_reply(read_frame(sock)).kind == "response"
         finally:
             server.stop()
 

@@ -210,6 +210,40 @@ class TestReplicationSource:
         assert source.grant_headroom("lic") == source.shipped_budget("lic")
         assert source.shipped_budget("lic") >= 16
 
+    def test_spent_budget_wakes_the_flusher_before_its_tick(self):
+        """A grant that leaves a follower no room ships at once: the
+        next renewal of that license must not be refused for a whole
+        ``flush_interval``.  A grant that leaves room waits its tick."""
+        remote = fresh_remote()
+        peer = RecordingPeer()
+        source = ReplicationSource(
+            remote, "a", peers={"b": peer}, followers_for=lambda lid: ["b"],
+            lag_budget_units=16, flush_interval=30.0,
+        )
+        blob = remote.issue_license("lic", POOL).license_blob()
+        small = remote.issue_license("small", 20).license_blob()
+        _machine, slid = init_client(remote)
+        source.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while not peer.of("sync_snapshot"):
+                assert time.monotonic() < deadline, "no bootstrap snapshot"
+                time.sleep(0.005)
+            inside = renew(remote, slid, "small", small)
+            assert 0 < inside.granted_units < 16
+            assert not source._wake.is_set()
+            time.sleep(0.1)
+            assert source._pending[-1].event == "grant"  # not shipped
+            spent = renew(remote, slid, "lic", blob)
+            assert spent.granted_units == 16  # the whole shipped budget
+            deadline = time.monotonic() + 1.0
+            while source.grant_headroom("lic") == 0:
+                assert time.monotonic() < deadline, \
+                    "spent budget waited out the flush tick"
+                time.sleep(0.005)
+        finally:
+            source.stop()
+
     def test_broken_peer_heals_through_the_next_snapshot(self):
         remote, peer, source = self.build(budget=16)
         blob = remote.issue_license("lic", POOL).license_blob()

@@ -16,6 +16,7 @@ The durability contract under test:
 """
 
 import os
+import shutil
 import time
 
 import pytest
@@ -30,6 +31,7 @@ from repro.storage.wal import (
     ShardPersistence,
     WalRecord,
     WriteAheadLog,
+    _seal,
     attach_persistence,
     derive_wal_key64,
     read_snapshot,
@@ -160,6 +162,58 @@ class TestWalFraming:
     def test_invalid_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             WriteAheadLog(str(tmp_path / "x.wal"), KEY, fsync="sometimes")
+
+
+class TestOnDiskCompatibility:
+    """The seal is a format: bytes pinned from the tree before the
+    word-wide AES (PR 12) must come out of, and read back under, the
+    current cipher unchanged."""
+
+    #: ``ledger.wal`` + ``ledger.snap`` written by PR 12's tree: two
+    #: licenses, a snapshot at seq 4 holding slid 1's 5,000-unit grant,
+    #: then a three-record tail.
+    PARENT_SHARD = os.path.join(os.path.dirname(__file__), "data",
+                                "parent_shard")
+
+    def test_seal_bytes_are_pinned(self, monkeypatch):
+        monkeypatch.setattr(os, "urandom",
+                            lambda n: bytes(range(0xA0, 0xA0 + n)))
+        sealed = _seal(b'{"event":"grant","fields":{"units":7},"seq":1}', KEY)
+        assert sealed.hex() == (
+            "a0a1a2a3a4a5a6a7236c518d32cdef14f96061e45f9c96c3f15fd306c7b3114d"
+            "5a79afbbe597af9262cb17e9515a230f9ade8c3bc9ec89f39ff55583f779fc58"
+            "0a95af71d9a165e69ad47a7cb11edd537413aa9f7814"
+        )
+
+    def test_parent_commit_log_reads_record_for_record(self):
+        records, good, size = WriteAheadLog.read(
+            os.path.join(self.PARENT_SHARD, "ledger.wal"), KEY)
+        assert good == size == 370
+        assert [(r.seq, r.event, r.fields) for r in records] == [
+            (5, "admit", {"slid": 2}),
+            (6, "grant", {"license_id": "lic", "node_key": "slid:2",
+                          "units": 1250}),
+            (7, "return", {"license_id": "lic", "node_key": "slid:1",
+                           "units": 5}),
+        ]
+        snapshot = read_snapshot(
+            os.path.join(self.PARENT_SHARD, "ledger.snap"), KEY)
+        assert snapshot["seq"] == 4
+        assert sorted(snapshot["licenses"]) == ["lic", "lic-b"]
+
+    def test_parent_commit_shard_recovers(self, tmp_path):
+        directory = tmp_path / "shard"
+        shutil.copytree(self.PARENT_SHARD, directory)
+        remote = fresh_remote()
+        report = make_persistence(directory).recover(remote)
+        assert (report.snapshot_seq, report.records_replayed,
+                report.tail_dropped_bytes) == (4, 3, 0)
+        # 5,000 + 1,250 granted, 5 returned, the rest forfeited.
+        assert report.forfeited_units == 6245
+        assert remote.ledger("lic").lost_units == 6245
+        assert remote.ledger("lic").available == POOL - 6245
+        assert remote.ledger("lic-b").available == 500
+        assert conserved(remote, "lic", POOL)
 
 
 class TestFsyncPolicies:
