@@ -17,7 +17,7 @@ Every simulation command is deterministic given ``--seed``
 from __future__ import annotations
 
 import argparse
-import os
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -239,8 +239,8 @@ def cmd_serve_remote(args) -> int:
     from repro.net.server import LeaseServer
     from repro.net.sharding import HashRing, ShardedRemote, default_shard_names
     from repro.sgx import RemoteAttestationService
-    from repro.storage.anchor import FreshnessAnchor, StaleImageError
-    from repro.storage.wal import ShardPersistence
+    from repro.storage.anchor import StaleImageError
+    from repro.storage.wal import attach_persistence
 
     ras = RemoteAttestationService(
         accept_any_platform=args.accept_any_platform
@@ -251,31 +251,21 @@ def cmd_serve_remote(args) -> int:
     owned_licenses = None  # None: this process owns every license
     manager = None
     persistences = []
-    recovery_reports = []
     admission = args.admission != "off"
     autotune_lag = bool(args.autotune_lag)
+    durability = dict(anchor_dir=args.anchor_dir or None, fsync=args.fsync,
+                      compact_every=args.compact_every)
 
-    def durable(remote, name):
-        """Recover ``remote`` from disk and journal it from here on."""
-        anchor = None
-        if args.anchor_dir:
-            anchor = FreshnessAnchor(
-                os.path.join(args.anchor_dir, f"{name}.anchor")
-            )
-        persistence = ShardPersistence(
-            os.path.join(args.data_dir, name), name=name,
-            fsync=args.fsync, compact_every=args.compact_every,
-            anchor=anchor,
-        )
+    @contextlib.contextmanager
+    def refusing_stale_images():
         try:
-            recovery_reports.append(persistence.recover(remote))
+            yield  # recovery: a rolled-back image ends the process here
         except StaleImageError as exc:
             # Exact marker line: the red-team harness greps it to prove
             # the rollback was *refused* rather than silently served.
-            print(f"SL-Anchor {name}: {exc}", flush=True)
+            print(f"SL-Anchor {exc.name}: {exc}", flush=True)
             raise SystemExit(3)
-        persistence.attach(remote)
-        persistences.append(persistence)
+
     if args.shard_of:
         index, count = _parse_shard_of(args.shard_of)
         names = (args.ring.split(",") if args.ring
@@ -287,13 +277,14 @@ def cmd_serve_remote(args) -> int:
         ring = HashRing(names)
         shard_name = names[index]
         owned_licenses = lambda lid: ring.shard_for(lid) == shard_name  # noqa: E731
-        remote = SlRemote(ras, ledger_commit_seconds=args.ledger_commit_seconds,
-                          admission=admission, autotune_lag=autotune_lag)
+        remote = SlRemote(ras, admission=admission, autotune_lag=autotune_lag)
         print(f"shard {shard_name} ({index + 1} of {count})", flush=True)
         if args.data_dir:
             # Recover before replication starts so the source streams
             # (and the journal observer sees) the recovered state.
-            durable(remote, shard_name)
+            with refusing_stale_images():
+                persistences = attach_persistence(
+                    remote, args.data_dir, name=shard_name, **durability)
         if args.replicas > 0:
             if not args.fleet:
                 raise SystemExit("--replicas needs --fleet NAME=HOST:PORT,...")
@@ -332,28 +323,28 @@ def cmd_serve_remote(args) -> int:
                   f"(quorum {quorum}, lag budget {args.lag_budget} units, "
                   f"{len(peers)} peers)", flush=True)
     elif args.shards > 1:
-        remote = ShardedRemote(ras, shards=args.shards,
-                               ledger_commit_seconds=args.ledger_commit_seconds,
-                               replicas=args.replicas,
-                               quorum=args.quorum,
-                               lag_budget_units=args.lag_budget,
-                               lag_budget_grants=args.lag_grants,
-                               data_dir=args.data_dir or None,
-                               fsync=args.fsync,
-                               compact_every=args.compact_every,
-                               admission=admission,
-                               autotune_lag=autotune_lag)
-        recovery_reports.extend(remote.recovery_reports)
+        with refusing_stale_images():
+            remote = ShardedRemote(ras, shards=args.shards,
+                                   replicas=args.replicas,
+                                   quorum=args.quorum,
+                                   lag_budget_units=args.lag_budget,
+                                   lag_budget_grants=args.lag_grants,
+                                   data_dir=args.data_dir or None,
+                                   admission=admission,
+                                   autotune_lag=autotune_lag,
+                                   **durability)
+        persistences = list(remote.persistences.values())
         if args.replicas > 0:
             remote.start_replication()
         print(f"sharded SL-Remote: {args.shards} in-process shards"
               + (f", {args.replicas} replica(s)" if args.replicas else ""),
               flush=True)
     else:
-        remote = SlRemote(ras, ledger_commit_seconds=args.ledger_commit_seconds,
-                          admission=admission, autotune_lag=autotune_lag)
+        remote = SlRemote(ras, admission=admission, autotune_lag=autotune_lag)
         if args.data_dir:
-            durable(remote, "remote")
+            with refusing_stale_images():
+                persistences = attach_persistence(remote, args.data_dir,
+                                                  **durability)
 
     for spec in args.license:
         license_id, units, kind, tick_seconds = _parse_license_spec(spec)
@@ -378,18 +369,12 @@ def cmd_serve_remote(args) -> int:
     if args.io == "async":
         from repro.net.aio import AsyncLeaseServer
 
-        if args.serialize_dispatch:
-            raise SystemExit(
-                "--serialize-dispatch is the threaded baseline; "
-                "it does not combine with --io async"
-            )
         server = AsyncLeaseServer(remote, host=args.host, port=args.port,
                                   max_workers=args.max_workers,
                                   max_connections=args.max_connections,
                                   extra_handlers=extra_handlers)
     else:
         server = LeaseServer(remote, host=args.host, port=args.port,
-                             serialize_dispatch=args.serialize_dispatch,
                              max_connections=args.max_connections,
                              extra_handlers=extra_handlers)
     if manager is not None:
@@ -398,8 +383,8 @@ def cmd_serve_remote(args) -> int:
         server.replication_health = manager.health
     # Recovery markers print BEFORE the listening marker so harnesses
     # that wait for the port can already have parsed the replay stats.
-    for report in recovery_reports:
-        print(report.marker_line(), flush=True)
+    for persistence in persistences:
+        print(persistence.last_report.marker_line(), flush=True)
     host, port = server.start()
     # Exact marker line: scripts and the integration test parse it to
     # discover an ephemeral port (--port 0).
@@ -412,10 +397,10 @@ def cmd_serve_remote(args) -> int:
         if manager is not None:
             manager.stop()
         if isinstance(remote, ShardedRemote):
-            remote.stop_replication()
-            remote.close_persistence()
-        for persistence in persistences:
-            persistence.close()
+            remote.close()  # replication first, then its own logs
+        else:
+            for persistence in persistences:
+                persistence.close()
         server.stop()
     print(f"served {server.requests_served} requests over "
           f"{server.connections_accepted} connections "
@@ -674,14 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "a typed error envelope instead of "
                                    "growing per-connection state without "
                                    "bound")
-    serve_parser.add_argument("--serialize-dispatch", action="store_true",
-                              help="serialize every request behind one lock "
-                                   "(pre-sharding behavior; benchmark "
-                                   "baseline)")
-    serve_parser.add_argument("--ledger-commit-seconds", type=float,
-                              default=0.0,
-                              help="simulated durable-commit latency charged "
-                                   "inside each license's critical section")
     serve_parser.add_argument("--replicas", type=int, default=0,
                               help="replication depth K: stream each "
                                    "license's state to its K ring successors "
@@ -731,8 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "monotonic watermark file per shard, kept "
                                    "OUTSIDE --data-dir; a restored stale data "
                                    "dir is refused at startup (exit 3) with "
-                                   "an SL-Anchor marker. Per-process shards "
-                                   "(--shard-of or unsharded) only.")
+                                   "an SL-Anchor marker")
     serve_parser.add_argument("--fsync", choices=("always", "interval", "off"),
                               default="interval",
                               help="WAL durability policy: fsync each "

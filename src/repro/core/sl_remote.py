@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -159,14 +158,12 @@ class _ClientState:
 class SlRemote:
     """The trusted remote server.
 
-    ``ledger_commit_seconds`` models the durable write SL-Remote makes
-    after every ledger mutation (the monotonic-counter-class persistence
-    a real vendor server needs so a crash cannot resurrect spent units).
-    It is *real* wall-clock time spent while holding the license lock,
-    so lock granularity becomes measurable: with the old global dispatch
-    lock every request waits out every other request's commit; with
-    per-license locks only same-license requests queue.  Default 0.0 —
-    simulations are unaffected.
+    The durable write SL-Remote owes after every ledger mutation (the
+    monotonic-counter-class persistence that stops a crash from
+    resurrecting spent units) is made by whoever observes the mutation:
+    an attached :class:`~repro.storage.wal.ShardPersistence` journals
+    and fsyncs inside ``_emit``, under the license lock, before the
+    handler builds its reply.  Without one the ledger lives in RAM.
     """
 
     def __init__(
@@ -174,14 +171,12 @@ class SlRemote:
         ras: RemoteAttestationService,
         policy: Optional[RenewalPolicy] = None,
         server_secret: bytes = VENDOR_SECRET,
-        ledger_commit_seconds: float = 0.0,
         admission: bool = True,
         autotune_lag: bool = False,
     ) -> None:
         self._ras = ras
         self.policy = policy if policy is not None else RenewalPolicy()
         self._server_secret = server_secret
-        self.ledger_commit_seconds = ledger_commit_seconds
         #: Adaptive admission control (the Algorithm 1 control loop's
         #: server half): remembered node conditions, measured-concurrency
         #: hints, telemetry evidence weighting, and the degrade-before-
@@ -229,12 +224,6 @@ class SlRemote:
         self.grant_headroom: Optional[
             Callable[[str, int], Optional[int]]
         ] = None
-        #: Optional durability hook (:mod:`repro.storage.wal`): returns
-        #: the seconds the calling thread just spent on real fsyncs, so
-        #: ``handle_renew`` charges ``ledger_commit_seconds`` as a
-        #: *budget* (sleeping only the remainder) instead of stacking a
-        #: simulated commit on top of a real one.
-        self.commit_hook: Optional[Callable[[], float]] = None
         #: Optional group-commit hook (:mod:`repro.storage.wal`): a
         #: context-manager factory wrapping one ``renew_batch`` dispatch
         #: so every ledger event the batch journals rides a single
@@ -725,26 +714,23 @@ class SlRemote:
         if early is not None:
             return early
         with state.lock:
-            response, mutated = self._renew_locked(state, client, request)
-            if mutated:
-                self._charge_commit()
-            return response
+            return self._renew_locked(state, client, request)
 
     def handle_renew_batch(self, batch: BatchRequest) -> BatchResponse:
         """Vectorized renewal: answer a whole coalesced frame at once.
 
         The members are grouped by license and each group runs under its
-        license's lock; the whole batch then pays **one** durable-commit
-        charge — the server-side half of the batching win: N coalesced
-        renewals cost one dispatch hop and one ledger commit instead of
-        N of each.  When a :class:`~repro.storage.wal.ShardPersistence`
-        is attached, ``commit_group`` scopes the batch so its journal
-        appends ride a single group fsync, and the budget charge sleeps
-        only the remainder of ``ledger_commit_seconds`` after that real
-        sync.  Licenses are visited in sorted order so the lock
-        acquisition sequence is deterministic, and per-member faults
-        (unknown client, frozen license, invalid blob) degrade only
-        that slot, never the batch.
+        license's lock; the whole batch pays **one** durable commit —
+        the server-side half of the batching win: N coalesced renewals
+        cost one dispatch hop and one ledger commit instead of N of
+        each.  When a :class:`~repro.storage.wal.ShardPersistence` is
+        attached, ``commit_group`` scopes the batch so its journal
+        appends ride a single group fsync, which has happened by the
+        time the scope closes: the grants are durable before any member
+        of the batch is acknowledged.  Licenses are visited in sorted
+        order so the lock acquisition sequence is deterministic, and
+        per-member faults (unknown client, frozen license, invalid blob)
+        degrade only that slot, never the batch.
         """
         requests = list(batch.requests)
         with self._counters_lock:
@@ -763,7 +749,6 @@ class SlRemote:
                 groups.setdefault(request.license_id, []).append(index)
         group_cm = (self.commit_group() if self.commit_group is not None
                     else contextlib.nullcontext())
-        mutated = False
         with group_cm:
             for license_id in sorted(groups):
                 indices = groups[license_id]
@@ -771,16 +756,9 @@ class SlRemote:
                 with state.lock:
                     for index in indices:
                         client, _ = prepared[index]
-                        responses[index], did = self._renew_locked(
+                        responses[index] = self._renew_locked(
                             state, client, requests[index]
                         )
-                        mutated = mutated or did
-        if mutated:
-            # After the group scope closed: the WAL's single batch fsync
-            # has happened, so commit_hook reports it and the budget
-            # sleep covers only the remainder.  The grants are durable
-            # before any member of the batch is acknowledged.
-            self._charge_commit()
         return BatchResponse(responses=tuple(responses))
 
     def _renew_prepare(
@@ -810,19 +788,15 @@ class SlRemote:
         return client, state, None
 
     def _renew_locked(self, state: LicenseShardState, client: _ClientState,
-                      request: RenewRequest) -> Tuple[Any, bool]:
-        """Algorithm 1 under ``state.lock``, *without* the commit charge.
-
-        Returns ``(response, mutated)``; the caller owes one durable-
-        commit charge per critical section in which any member mutated
-        the ledger (one per renewal in :meth:`handle_renew`, one per
-        license group in :meth:`handle_renew_batch`).
-        """
+                      request: RenewRequest) -> Any:
+        """Algorithm 1 under ``state.lock``; a grant is journalled (and,
+        under ``--fsync always``, durable) when ``_emit("grant")``
+        returns, i.e. before the response exists."""
         if state.frozen:
-            return MigratingNotice(license_id=request.license_id), False
+            return MigratingNotice(license_id=request.license_id)
         definition = state.definition
         if definition.revoked:
-            return RenewResponse(status=Status.REVOKED), False
+            return RenewResponse(status=Status.REVOKED)
         if definition.kind is LeaseKind.PERPETUAL:
             # Perpetual leases are a binary activation: no unit
             # accounting, no Algorithm 1 (Section 4.3).
@@ -831,11 +805,11 @@ class SlRemote:
                 granted_units=1,
                 lease_kind=definition.kind.value,
                 tick_seconds=definition.tick_seconds,
-            ), False
+            )
         ledger = state.ledger
         if ledger.available <= 0:
             self._note_refusal(state)
-            return RenewResponse(status=Status.EXHAUSTED), False
+            return RenewResponse(status=Status.EXHAUSTED)
 
         node_key = self._node_key(request.slid)
         requester = NodeCondition(
@@ -932,7 +906,7 @@ class SlRemote:
                 ledger.outstanding.pop(node_key, None)
         if granted <= 0:
             self._note_refusal(state)
-            return RenewResponse(status=Status.EXHAUSTED), False
+            return RenewResponse(status=Status.EXHAUSTED)
         state.grants += 1
         bucket = granted.bit_length()
         state.grant_hist[bucket] = state.grant_hist.get(bucket, 0) + 1
@@ -950,18 +924,7 @@ class SlRemote:
             granted_units=granted,
             lease_kind=definition.kind.value,
             tick_seconds=definition.tick_seconds,
-        ), True
-
-    def _charge_commit(self) -> None:
-        """The durable ledger write, inside the critical section: a
-        grant is not acknowledged until it cannot be lost.  With a WAL
-        attached (commit_hook), the *real* fsync the observer just
-        performed is charged against ``ledger_commit_seconds`` and only
-        the remainder (if any) is simulated — never both."""
-        spent = self.commit_hook() if self.commit_hook is not None else 0.0
-        remainder = self.ledger_commit_seconds - spent
-        if remainder > 0:
-            time.sleep(remainder)
+        )
 
     def _evidence_reliability(self, state: LicenseShardState, node_key: str,
                               request: RenewRequest) -> float:

@@ -75,7 +75,6 @@ from repro.net.transport import (
     HandlerTable,
     InProcessTransport,
     SerializedLoopbackTransport,
-    TRANSPORT_BACKENDS,
     TcpTransport,
     Transport,
     TransportError,
@@ -116,7 +115,6 @@ __all__ = [
     "ShardSnapshot",
     "ShardedRemote",
     "SimulatedLink",
-    "TRANSPORT_BACKENDS",
     "TcpTransport",
     "Transport",
     "TransportError",

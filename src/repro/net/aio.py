@@ -404,24 +404,10 @@ class AsyncTcpTransport(Transport):
         host: str,
         port: int,
         conditions: Optional[NetworkConditions] = None,
-        timeout_seconds: float = 5.0,
-        max_attempts: int = 5,
-        backoff_seconds: float = 0.05,
-        reconnect_attempts: int = 4,
-        reconnect_backoff_seconds: float = 0.05,
         loop: Optional[asyncio.AbstractEventLoop] = None,
-        config: Optional[EndpointConfig] = None,
+        config: EndpointConfig = EndpointConfig(),
     ) -> None:
-        # Knob validation is EndpointConfig's job (shared with the
-        # threaded transport); the legacy keyword form builds one.
-        if config is None:
-            config = EndpointConfig(
-                timeout_seconds=timeout_seconds,
-                max_attempts=max_attempts,
-                backoff_seconds=backoff_seconds,
-                reconnect_attempts=reconnect_attempts,
-                reconnect_backoff_seconds=reconnect_backoff_seconds,
-            )
+        # Every knob (and its validation) lives in EndpointConfig.
         self.config = config
         self.host = host
         self.port = port
@@ -459,9 +445,9 @@ class AsyncTcpTransport(Transport):
         self.bytes_received = 0
         self.frames_sent = 0
         self.frames_received = 0
-        window = getattr(config, "batch_window", 0.0)
         self.coalescer: Optional[RenewCoalescer] = (
-            RenewCoalescer(window) if window > 0 else None
+            RenewCoalescer(config.batch_window)
+            if config.batch_window > 0 else None
         )
 
     # -- the round trip (caller thread) --------------------------------

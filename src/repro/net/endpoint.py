@@ -49,8 +49,6 @@ class EndpointConfig:
     MigratingNotice` retry-after waits a router absorbs before raising
     :class:`~repro.net.errors.Migrating`; ``replicas > 0`` declares the
     fleet replicated, which arms the router's dial-failure failover.
-    ``quorum`` is the fleet's write-quorum expectation, carried so
-    clients and tooling can reason about it; servers enforce it.
     ``data_dir`` makes a *loopback* endpoint's remote durable (recover
     on connect, journal from then on); socket schemes reject it — the
     server process owns its own ``--data-dir``.
@@ -69,7 +67,6 @@ class EndpointConfig:
     ring_replicas: int = 64
     migrate_retries: int = 40
     replicas: int = 0
-    quorum: int = 0
     data_dir: Optional[str] = None
     batch_window: float = 0.0
 
@@ -92,8 +89,6 @@ class EndpointConfig:
             raise ValueError("migrate_retries must be >= 0")
         if self.replicas < 0:
             raise ValueError("replicas must be >= 0")
-        if self.quorum < 0:
-            raise ValueError("quorum must be >= 0")
         if self.batch_window < 0:
             raise ValueError("batch_window must be >= 0")
 
@@ -114,7 +109,6 @@ _QUERY_FIELDS = {
     "ring_replicas": ("ring_replicas", int),
     "migrate_retries": ("migrate_retries", int),
     "replicas": ("replicas", int),
-    "quorum": ("quorum", int),
     "data_dir": ("data_dir", str),
     "batch_window": ("batch_window", float),
 }

@@ -865,8 +865,8 @@ class FollowerStore:
     message from that source carrying a *lower* epoch is answered with
     ``{"status": "fenced", "epoch": E}`` instead of being applied —
     the partitioned-stale-primary rejection the promotion protocol
-    relies on.  (A fence at epoch 0 — legacy string promotes — rejects
-    nothing: epoch-0 messages are not ``< 0``.)
+    relies on.  (Routers number promotions from epoch 1, so a live
+    source's epoch-0 traffic is always below its fence.)
     """
 
     def __init__(self) -> None:
@@ -1118,11 +1118,6 @@ class FollowerStore:
         return False
 
     # -- promotion ------------------------------------------------------
-    def take_source(self, source: str) -> Optional[SourceReplica]:
-        """Remove and return everything replicated from ``source``."""
-        with self._lock:
-            return self._sources.pop(source, None)
-
     def licenses_of(self, source: str) -> List[str]:
         with self._lock:
             replica = self._sources.get(source)
@@ -1182,9 +1177,10 @@ class ReplicationManager:
     is still answerable (with nothing in it).
 
     ``followers_for(license_id)`` names the K peers replicating a
-    license; ``owners_for(license_id)`` (optional) names the *full*
-    ring order for it, which promotion uses to decide the adopter —
-    the first owner not known dead.  ``quorum`` > 0 gates the
+    license; ``owners_for(license_id)`` names the *full* ring order for
+    it, which promotion uses to decide the adopter — the first owner
+    not known dead.  Both are required with ``peers``; a shard without
+    peers is its own whole ring.  ``quorum`` > 0 gates the
     ``init``/``shutdown`` handlers on that many follower acks of the
     identity watermark.  ``persistence`` (a
     :class:`~repro.storage.wal.ShardPersistence`) switches cold-peer
@@ -1206,7 +1202,6 @@ class ReplicationManager:
         flush_interval: float = 0.02,
         snapshot_interval: float = 0.5,
         persistence=None,
-        follower_for: Optional[Callable[[str], Optional[str]]] = None,
     ) -> None:
         self.remote = remote
         self.name = name
@@ -1218,21 +1213,15 @@ class ReplicationManager:
         self.quorum = max(0, int(quorum))
         self.quorum_timeout = quorum_timeout
         self.quorum_timeouts = 0
-        self.owners_for = owners_for
+        self.owners_for = owners_for or (lambda license_id: (name,))
         self._promote_lock = threading.Lock()
         #: source name -> {license_id: reserved units} for promotions
         #: already performed (the idempotency memo every extra router
         #: asking again is answered from).
         self._promoted: Dict[str, Dict[str, int]] = {}
-        if followers_for is None and follower_for is not None:
-            # Back-compat shim: a single-follower placement rule.
-            def followers_for(license_id: str,
-                              _single=follower_for) -> Sequence[str]:
-                peer = _single(license_id)
-                return [peer] if peer is not None else []
         if peers:
-            if followers_for is None:
-                raise ValueError("peers need a followers_for placement rule")
+            if followers_for is None or owners_for is None:
+                raise ValueError("peers need followers_for and owners_for")
             self.source = ReplicationSource(
                 remote, name, peers, followers_for,
                 lag_budget_units=lag_budget_units,
@@ -1416,11 +1405,7 @@ class ReplicationManager:
 
     def _adopter_of(self, license_id: str, dead: Set[str]) -> str:
         """The shard that should install a dead primary's license: the
-        first owner in full ring order that is not known dead.  With
-        no ring knowledge (legacy single-follower wiring) the answer
-        is always *us* — we were the only replica."""
-        if self.owners_for is None:
-            return self.name
+        first owner in full ring order that is not known dead."""
         for owner in self.owners_for(license_id):
             if owner not in dead:
                 return owner
@@ -1429,11 +1414,10 @@ class ReplicationManager:
     def handle_promote(self, request: Any) -> Dict[str, Any]:
         """Fold replicas held for a dead ``source`` into serving state.
 
-        Accepts a legacy bare source name or ``{"source", "epoch"}``.
-        The epoch fences the dead source in the follower store (its
-        late traffic is rejected, not applied) and ratchets this
-        shard's own epoch so its outbound stream outranks the deposed
-        primary's.
+        ``request`` is the router's ``{"source", "epoch"}``.  The epoch
+        fences the dead source in the follower store (its late traffic
+        is rejected, not applied) and ratchets this shard's own epoch
+        so its outbound stream outranks the deposed primary's.
 
         The pessimistic-loss rule, scoped to the lag window: for each
         *adopted* license, ``min(available, shipped budget)`` units
@@ -1446,11 +1430,9 @@ class ReplicationManager:
         license.  Idempotent: the first caller does the work, every
         later caller gets the memo.
         """
-        if isinstance(request, dict):
-            source = request["source"]
-            epoch = int(request.get("epoch", 0))
-        else:
-            source, epoch = str(request), 0
+        if not isinstance(request, dict):
+            raise ValueError('promote takes {"source", "epoch"}')
+        source, epoch = request["source"], int(request["epoch"])
         self.store.fence(source, epoch)
         if self.source is not None:
             # The fleet shrank: stop streaming to (and backpressuring

@@ -12,9 +12,7 @@ Concurrency model: one thread per connection, with handlers dispatched
 *concurrently* — :class:`~repro.core.sl_remote.SlRemote` serializes per
 license internally (its :class:`~repro.core.sl_remote.LicenseShardState`
 locks), so renewals for different licenses proceed in parallel while
-same-license renewals queue on that license's lock only.  The historical
-whole-server serialization survives behind ``serialize_dispatch=True``
-for baseline measurements (``benchmarks/test_server_load_tcp.py``).
+same-license renewals queue on that license's lock only.
 
 Attestation and renewal costs are charged to a server-owned virtual
 clock (a :class:`~repro.sim.clock.ThreadSafeClock`, since many
@@ -186,7 +184,6 @@ class LeaseServer:
                  clock: Optional[Clock] = None,
                  stats: Optional[SgxStats] = None,
                  accept_backlog: int = 128,
-                 serialize_dispatch: bool = False,
                  max_connections: Optional[int] = None,
                  extra_handlers=None) -> None:
         if max_connections is not None and max_connections < 1:
@@ -214,9 +211,6 @@ class LeaseServer:
         self._accept_thread: Optional[threading.Thread] = None
         self._workers: List[threading.Thread] = []
         self._workers_lock = threading.Lock()
-        #: Legacy whole-server serialization (pre-sharding behavior);
-        #: kept as an opt-in so benchmarks can measure the difference.
-        self._dispatch_lock = threading.Lock() if serialize_dispatch else None
         self._counters_lock = threading.Lock()
         self._stopping = threading.Event()
         self.wire_stats = WireStats()
@@ -372,15 +366,9 @@ class LeaseServer:
                 codec.decode_request_envelope(data)
             if method == "renew_batch" and hasattr(payload, "requests"):
                 self.wire_stats.note_batch(len(payload.requests))
-            if self._dispatch_lock is not None:
-                with self._dispatch_lock:
-                    response = self.handlers.dispatch(
-                        method, payload, clock=self.clock, stats=self.stats
-                    )
-            else:
-                response = self.handlers.dispatch(
-                    method, payload, clock=self.clock, stats=self.stats
-                )
+            response = self.handlers.dispatch(
+                method, payload, clock=self.clock, stats=self.stats
+            )
         except Exception as exc:  # noqa: BLE001 - every fault becomes a wire error
             if isinstance(exc, codec.CodecError):
                 # The frame arrived intact (framing held) but its

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import os
 import threading
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
@@ -92,7 +91,7 @@ from repro.net.replication import (
     PeerLink,
     ReplicationManager,
 )
-from repro.storage.wal import RecoveryReport, ShardPersistence
+from repro.storage.wal import ShardPersistence, attach_persistence
 from repro.net.transport import HandlerTable, Transport
 from repro.sgx.driver import SgxStats
 from repro.sim.clock import Clock, ThreadSafeClock
@@ -700,11 +699,15 @@ class ShardedRemote:
     of the identity watermark (0/None = off for in-process fleets;
     the CLI defaults TCP fleets to a majority of K).
 
-    ``data_dir=...`` makes every shard durable: each gets its own
+    ``data_dir=...`` makes every shard durable through
+    :func:`~repro.storage.wal.attach_persistence`: each gets its own
     :class:`~repro.storage.wal.ShardPersistence` under
-    ``data_dir/<shard-name>/``, recovered *before* replication wires up
-    so sources stream the recovered state.  Recovery reports land in
-    ``self.recovery_reports``; ``close()`` flushes and detaches.
+    ``data_dir/<shard-name>/`` (and, with ``anchor_dir``, its own
+    freshness anchor — a rolled-back shard image raises
+    :class:`~repro.storage.anchor.StaleImageError` out of the
+    constructor), recovered *before* replication wires up so sources
+    stream the recovered state.  Each persistence carries its recovery
+    report as ``last_report``; ``close()`` flushes and detaches.
     """
 
     def __init__(
@@ -715,13 +718,13 @@ class ShardedRemote:
         server_secret: bytes = VENDOR_SECRET,
         shard_names: Optional[Sequence[str]] = None,
         ring_replicas: int = 64,
-        ledger_commit_seconds: float = 0.0,
         replicas: int = 0,
         lag_budget_units: int = DEFAULT_LAG_BUDGET_UNITS,
         lag_budget_grants: int = DEFAULT_LAG_BUDGET_GRANTS,
         flush_interval: float = 0.02,
         snapshot_interval: float = 0.5,
         data_dir: Optional[str] = None,
+        anchor_dir: Optional[str] = None,
         fsync: str = "interval",
         compact_every: int = 4096,
         quorum: Optional[int] = None,
@@ -736,7 +739,6 @@ class ShardedRemote:
                  else default_shard_names(shards))
         self.shards: Dict[str, SlRemote] = {
             name: SlRemote(ras, policy=policy, server_secret=server_secret,
-                           ledger_commit_seconds=ledger_commit_seconds,
                            admission=admission, autotune_lag=autotune_lag)
             for name in names
         }
@@ -744,17 +746,13 @@ class ShardedRemote:
         # on-disk ledger into each shard first, so replication sources
         # start from (and journal observers see) the recovered state.
         self.persistences: Dict[str, ShardPersistence] = {}
-        self.recovery_reports: List[RecoveryReport] = []
         if data_dir is not None:
-            for name, remote in self.shards.items():
-                persistence = ShardPersistence(
-                    os.path.join(data_dir, name), name=name,
-                    server_secret=server_secret, fsync=fsync,
-                    compact_every=compact_every,
-                )
-                self.recovery_reports.append(persistence.recover(remote))
-                persistence.attach(remote)
-                self.persistences[name] = persistence
+            self.persistences = {
+                persistence.name: persistence
+                for persistence in attach_persistence(
+                    self, data_dir, fsync=fsync, compact_every=compact_every,
+                    anchor_dir=anchor_dir)
+            }
         ring = HashRing(names, replicas=ring_replicas)
         self.replicas = replicas
         self.replication_depth = 0
@@ -850,26 +848,17 @@ class ShardedRemote:
         for manager in self.managers.values():
             manager.start()
 
-    def stop_replication(self) -> None:
-        for manager in self.managers.values():
-            manager.stop()
-
-    def close_persistence(self) -> None:
-        """Detach and close every shard's write-ahead log."""
-        for persistence in self.persistences.values():
-            persistence.close()
-        self.persistences.clear()
-
     def close(self) -> None:
         """Tear down in dependency order, idempotently: replication
         shipper threads first (they call into peers and journal via the
-        WAL), persistence second, so callers can close sockets after
-        this returns knowing no background thread will touch them."""
-        if getattr(self, "_closed", False):
-            return
-        self._closed = True
-        self.stop_replication()
-        self.close_persistence()
+        WAL), every shard's write-ahead log second, so callers can close
+        sockets after this returns knowing no background thread will
+        touch them."""
+        for manager in self.managers.values():
+            manager.stop()
+        for persistence in self.persistences.values():
+            persistence.close()
+        self.persistences.clear()
 
     def replicate_now(self) -> None:
         """Flush every shard's pending deltas (deterministic tests)."""

@@ -58,7 +58,6 @@ __all__ = [
     "SerializedLoopbackTransport",
     "RenewCoalescer",
     "TcpTransport",
-    "TRANSPORT_BACKENDS",
     "loopback_transport",
     "read_frame",
     "transport_telemetry",
@@ -252,10 +251,9 @@ class RenewCoalescer:
     next round, so the pipeline never stalls behind an in-flight batch.
 
     The payoff is server-side: N coalesced renewals cost one frame, one
-    executor hop, and one ledger-commit charge per distinct license
-    instead of N of each — the difference between ~700 and several
-    thousand renewals/s at 100 clients against a 20 ms ledger commit;
-    ``bench/``'s ``batch_durable`` workload measures it at sleep 0.
+    executor hop, and one durable ledger commit (one group fsync)
+    instead of N of each; ``bench/``'s ``batch_durable`` workload
+    measures it.
     """
 
     def __init__(self, window_seconds: float,
@@ -351,23 +349,9 @@ class TcpTransport(Transport):
         host: str,
         port: int,
         conditions: Optional[NetworkConditions] = None,
-        timeout_seconds: float = 5.0,
-        max_attempts: int = 5,
-        backoff_seconds: float = 0.05,
-        reconnect_attempts: int = 4,
-        reconnect_backoff_seconds: float = 0.05,
-        config: Optional[EndpointConfig] = None,
+        config: EndpointConfig = EndpointConfig(),
     ) -> None:
-        # All knob validation lives in EndpointConfig.__post_init__ —
-        # the legacy keyword form builds one, so both spellings share it.
-        if config is None:
-            config = EndpointConfig(
-                timeout_seconds=timeout_seconds,
-                max_attempts=max_attempts,
-                backoff_seconds=backoff_seconds,
-                reconnect_attempts=reconnect_attempts,
-                reconnect_backoff_seconds=reconnect_backoff_seconds,
-            )
+        # Every knob (and its validation) lives in EndpointConfig.
         self.config = config
         self.host = host
         self.port = port
@@ -400,9 +384,9 @@ class TcpTransport(Transport):
         self.bytes_received = 0
         self.frames_sent = 0
         self.frames_received = 0
-        window = getattr(config, "batch_window", 0.0)
         self.coalescer: Optional[RenewCoalescer] = (
-            RenewCoalescer(window) if window > 0 else None
+            RenewCoalescer(config.batch_window)
+            if config.batch_window > 0 else None
         )
 
     # -- connection management -----------------------------------------
@@ -586,10 +570,6 @@ class TcpTransport(Transport):
         if self.messages_sent == 0:
             return self.conditions.reliability
         return (self.messages_sent - self.messages_dropped) / self.messages_sent
-
-
-#: Transport factories selectable by name (CLI / deployment knobs).
-TRANSPORT_BACKENDS = ("in-process", "serialized", "tcp")
 
 
 def loopback_transport(kind: str, handlers: HandlerTable,

@@ -2,9 +2,7 @@
 
 The paper charges SL-Remote for a durable commit on every grant (the
 monotonic-counter-class persistence that stops a crash from
-resurrecting spent units) but the reproduction only *simulated* that
-write — ``--ledger-commit-seconds`` slept while the ledger stayed in
-RAM.  This module makes the write real:
+resurrecting spent units).  This module is that write:
 
 * :class:`WriteAheadLog` — an append-only log of ledger mutations.
   Every record is length-prefixed, CRC-checked, and **sealed** with the
@@ -23,9 +21,9 @@ RAM.  This module makes the write real:
 
 * :class:`ShardPersistence` — glues a log to one
   :class:`~repro.core.sl_remote.SlRemote`: journals every observer
-  event, charges the real fsync against ``ledger_commit_seconds``
-  through ``commit_hook``, compacts in the background, and on startup
-  :meth:`~ShardPersistence.recover`\\ s the shard:
+  event under the lock that guards the mutation (so under ``always``
+  the fsync precedes the reply), compacts in the background, and on
+  startup :meth:`~ShardPersistence.recover`\\ s the shard:
 
   1. install the snapshot (if any);
   2. replay the log tail, dropping everything from the first record
@@ -189,7 +187,6 @@ class WriteAheadLog:
         self.append_count = 0
         self.fsync_count = 0
         self.appends_since_reset = 0
-        self.batch_count = 0
         self._dirty = False
         self._batch_local = threading.local()
         self._last_sync = time.monotonic()
@@ -201,12 +198,12 @@ class WriteAheadLog:
             _fsync(self._handle)
 
     # -- writing -------------------------------------------------------
-    def append(self, event: str, fields: Dict[str, Any]) -> Tuple[int, float]:
-        """Journal one mutation; returns ``(seq, fsync_seconds)``.
+    def append(self, event: str, fields: Dict[str, Any]) -> int:
+        """Journal one mutation; returns its sequence number.
 
-        The fsync charge follows the policy: ``always`` pays on every
-        append, ``interval`` pays only when the group-commit window has
-        elapsed, ``off`` never pays (durability rides on the OS cache).
+        The fsync follows the policy: ``always`` syncs on every append,
+        ``interval`` only when the group-commit window has elapsed,
+        ``off`` never (durability rides on the OS cache).
         """
         with self._lock:
             seq = self.last_seq + 1
@@ -219,16 +216,13 @@ class WriteAheadLog:
             self.append_count += 1
             self.appends_since_reset += 1
             self._dirty = True
-            spent = 0.0
             if getattr(self._batch_local, "depth", 0) > 0:
                 pass  # durability deferred to the enclosing batch's sync
             elif self.fsync_policy == "always":
-                spent = self.sync()
+                self.sync()
             elif self.fsync_policy == "interval":
-                if (time.monotonic() - self._last_sync
-                        >= self.fsync_interval_seconds):
-                    spent = self.sync()
-            return seq, spent
+                self.sync_if_due()
+            return seq
 
     @contextlib.contextmanager
     def batch(self) -> Iterator["WriteAheadLog"]:
@@ -259,34 +253,28 @@ class WriteAheadLog:
             self._batch_local.depth = depth
             if depth == 0:
                 with self._lock:
-                    self.batch_count += 1
                     dirty = self._dirty
                 if dirty and self.fsync_policy == "always":
                     self.sync()
 
-    def sync(self) -> float:
-        """Force an fsync; returns the seconds it took."""
+    def sync(self) -> None:
+        """Force an fsync."""
         with self._lock:
             if self._handle.closed:
-                return 0.0
-            start = time.perf_counter()
+                return
             self._handle.flush()
             _fsync(self._handle)
-            elapsed = time.perf_counter() - start
             self.fsync_count += 1
             self._dirty = False
             self._last_sync = time.monotonic()
-            return elapsed
 
-    def sync_if_due(self) -> float:
-        """Group-commit tick for the ``interval`` policy (maintenance)."""
+    def sync_if_due(self) -> None:
+        """Group-commit tick for the ``interval`` policy: sync a dirty
+        log once the window has elapsed (appends and maintenance)."""
         with self._lock:
-            if not self._dirty:
-                return 0.0
-            if (time.monotonic() - self._last_sync
-                    < self.fsync_interval_seconds):
-                return 0.0
-            return self.sync()
+            if self._dirty and (time.monotonic() - self._last_sync
+                                >= self.fsync_interval_seconds):
+                self.sync()
 
     def reset(self) -> None:
         """Truncate to an empty log (after a snapshot superseded it).
@@ -565,9 +553,6 @@ class ShardPersistence:
         self._snap_path = os.path.join(directory, self.SNAP_FILE)
         self._opener = opener or _default_opener
         self._remote: Optional[SlRemote] = None
-        self._observer: Optional[Callable[[str, Dict[str, Any]], None]] = None
-        self._group: Optional[Callable[[], Any]] = None
-        self._local = threading.local()
         self._compact_lock = threading.Lock()
         self._stop = threading.Event()
         self._maintenance: Optional[threading.Thread] = None
@@ -758,19 +743,18 @@ class ShardPersistence:
 
     # -- live journaling -----------------------------------------------
     def attach(self, remote: SlRemote) -> None:
-        """Start journaling ``remote``'s mutations and charging fsyncs.
+        """Start journaling ``remote``'s mutations.
 
         Installs an observer (events arrive under the mutated state's
-        lock, i.e. in ledger-commit order) and ``commit_hook`` (so
-        ``handle_renew`` sleeps only the *remainder* of
-        ``ledger_commit_seconds`` after the real fsync).
+        lock, i.e. in ledger-commit order) and, as ``commit_group``,
+        :meth:`WriteAheadLog.batch`: ``handle_renew_batch`` scopes a
+        batch with it, so every journal append inside defers its fsync
+        and one sync on the way out makes the batch's grants durable
+        together — N renewals, one fsync.
         """
         self._remote = remote
-        self._observer = self._observe
-        remote.add_observer(self._observer)
-        remote.commit_hook = self.commit_cost
-        self._group = self.group
-        remote.commit_group = self._group
+        remote.add_observer(self._observe)
+        remote.commit_group = self.wal.batch
         self._stop.clear()
         self._maintenance = threading.Thread(
             target=self._maintenance_loop,
@@ -783,43 +767,7 @@ class ShardPersistence:
         if event not in REPLAYABLE_EVENTS:
             return
         self._crash_point("wal:append")
-        _seq, spent = self.wal.append(event, fields)
-        self._local.commit_cost = (
-            getattr(self._local, "commit_cost", 0.0) + spent
-        )
-
-    def commit_cost(self) -> float:
-        """Seconds this thread just spent on durable commits (and reset).
-
-        ``SlRemote.handle_renew`` charges this against
-        ``ledger_commit_seconds`` instead of sleeping on top of it.
-        """
-        spent = getattr(self._local, "commit_cost", 0.0)
-        self._local.commit_cost = 0.0
-        return spent
-
-    @contextlib.contextmanager
-    def group(self) -> Iterator[None]:
-        """One durable commit for a whole renewal batch.
-
-        Installed as ``SlRemote.commit_group``: ``handle_renew_batch``
-        scopes the batch with it, every journal append inside defers
-        its fsync (:meth:`WriteAheadLog.batch`), and a single sync on
-        the way out makes all of the batch's grants durable together.
-        The sync's real cost is credited to this thread's
-        ``commit_cost`` so the subsequent budget charge sleeps only the
-        remainder of ``ledger_commit_seconds`` — N renewals, one fsync,
-        one charge.
-        """
-        with self.wal.batch():
-            try:
-                yield
-            finally:
-                if self.wal.fsync_policy == "always":
-                    spent = self.wal.sync()
-                    self._local.commit_cost = (
-                        getattr(self._local, "commit_cost", 0.0) + spent
-                    )
+        self.wal.append(event, fields)
 
     # -- snapshot + compaction -----------------------------------------
     def compact(self) -> None:
@@ -960,18 +908,12 @@ class ShardPersistence:
             self._maintenance = None
         remote = self._remote
         if remote is not None:
-            if self._observer is not None:
-                try:
-                    remote._observers.remove(self._observer)
-                except ValueError:
-                    pass
-                self._observer = None
-            if remote.commit_hook is self.commit_cost:
-                remote.commit_hook = None
-            if (self._group is not None
-                    and remote.commit_group is self._group):
+            try:
+                remote._observers.remove(self._observe)
+            except ValueError:
+                pass
+            if remote.commit_group == self.wal.batch:
                 remote.commit_group = None
-            self._group = None
         self.wal.close()
         if self.anchor is not None:
             self.anchor.advance(self.wal.last_seq)
@@ -980,53 +922,52 @@ class ShardPersistence:
 def attach_persistence(
     remote: Any,
     data_dir: str,
-    server_secret: Optional[bytes] = None,
+    name: str = "remote",
     fsync: str = "interval",
-    fsync_interval_seconds: float = 0.05,
     compact_every: int = 4096,
     anchor_dir: Optional[str] = None,
 ) -> List[ShardPersistence]:
     """Recover-and-attach durability for a remote (single or sharded).
 
-    A :class:`~repro.net.sharding.ShardedRemote` (duck-typed via its
-    ``shards`` mapping) gets one subdirectory + log per shard, so each
-    shard's durability is independent — exactly like the per-process
-    fleet.  Returns the persistences (close them on shutdown); each
-    carries its ``last_report``.
+    The one place a :class:`ShardPersistence` is built.  A single
+    :class:`~repro.core.sl_remote.SlRemote` journals under
+    ``data_dir/<name>/`` (a ``--shard-of`` worker passes its ring name,
+    which also derives the log's sealing key); a
+    :class:`~repro.net.sharding.ShardedRemote` (duck-typed via its
+    ``shards`` mapping) gets one subdirectory + log per shard name, so
+    each shard's durability is independent — exactly like the
+    per-process fleet.  Returns the persistences (close them on
+    shutdown); each carries its ``last_report``.
 
     ``anchor_dir`` (kept on a *different* path than ``data_dir`` by
     the threat model) enables the stale-image rollback defense: one
     :class:`~repro.storage.anchor.FreshnessAnchor` per shard, checked
     during recovery — a rolled-back image raises
-    :class:`~repro.storage.anchor.StaleImageError` here, before
-    anything attaches.
+    :class:`~repro.storage.anchor.StaleImageError` here, before that
+    shard attaches; shards already attached are closed again.
     """
     from repro.storage.anchor import FreshnessAnchor
 
     shards = getattr(remote, "shards", None)
-    if isinstance(shards, dict):
-        targets = [(name, shard) for name, shard in sorted(shards.items())]
-    else:
-        targets = [("remote", remote)]
+    targets = shards if isinstance(shards, dict) else {name: remote}
     persistences: List[ShardPersistence] = []
-    for name, shard in targets:
-        secret = (server_secret if server_secret is not None
-                  else getattr(shard, "_server_secret", VENDOR_SECRET))
-        anchor = None
-        if anchor_dir is not None:
-            anchor = FreshnessAnchor(
-                os.path.join(anchor_dir, f"{name}.anchor")
+    try:
+        for shard_name, shard in targets.items():
+            anchor = None
+            if anchor_dir is not None:
+                anchor = FreshnessAnchor(
+                    os.path.join(anchor_dir, f"{shard_name}.anchor")
+                )
+            persistence = ShardPersistence(
+                os.path.join(data_dir, shard_name), name=shard_name,
+                server_secret=shard._server_secret, fsync=fsync,
+                compact_every=compact_every, anchor=anchor,
             )
-        persistence = ShardPersistence(
-            os.path.join(data_dir, name),
-            name=name,
-            server_secret=secret,
-            fsync=fsync,
-            fsync_interval_seconds=fsync_interval_seconds,
-            compact_every=compact_every,
-            anchor=anchor,
-        )
-        persistence.recover(shard)
-        persistence.attach(shard)
-        persistences.append(persistence)
+            persistences.append(persistence)
+            persistence.recover(shard)
+            persistence.attach(shard)
+    except BaseException:
+        for persistence in persistences:
+            persistence.close()
+        raise
     return persistences

@@ -19,10 +19,8 @@ from repro.sgx import RemoteAttestationService
 POOL = 10_000
 
 
-def build_remote(licenses=("lic-a",), clients=8, pool=POOL,
-                 ledger_commit_seconds=0.0):
-    remote = SlRemote(RemoteAttestationService(accept_any_platform=True),
-                      ledger_commit_seconds=ledger_commit_seconds)
+def build_remote(licenses=("lic-a",), clients=8, pool=POOL):
+    remote = SlRemote(RemoteAttestationService(accept_any_platform=True))
     blobs = {}
     for license_id in licenses:
         definition = remote.issue_license(license_id, pool)
@@ -154,39 +152,6 @@ class TestDifferentLicensesDoNotBlock:
             assert not done.wait(timeout=0.3)  # held lock gates the grant
         assert done.wait(timeout=10)
         thread.join(timeout=10)
-
-    def test_commit_latency_overlaps_across_licenses(self):
-        """With a real per-commit sleep, two licenses commit in parallel.
-
-        Two renewals of the same license cost two serialized commits;
-        two renewals of different licenses overlap.  This is the
-        mechanism the sharded load benchmark scales with.
-        """
-        import time
-
-        commit = 0.15
-        # Fresh licenses and SLIDs per measurement: a node renewing a
-        # license it already holds its Algorithm-1 target for is granted
-        # nothing (and skips the commit), which would fake an overlap.
-        remote, blobs = build_remote(licenses=("lic-a", "lic-b", "lic-c"),
-                                     clients=4, ledger_commit_seconds=commit)
-
-        def timed(jobs):
-            threads = [
-                threading.Thread(target=renew, args=(remote, blobs, slid, lid))
-                for slid, lid in jobs
-            ]
-            start = time.monotonic()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            return time.monotonic() - start
-
-        parallel = timed([(1, "lic-a"), (2, "lic-b")])
-        serialized = timed([(3, "lic-c"), (4, "lic-c")])
-        assert parallel < 2 * commit  # overlapped: ~1 commit of wall time
-        assert serialized >= 2 * commit  # queued: both commits in series
 
 
 class TestTypedUnknownClient:

@@ -33,6 +33,17 @@ class TestParser:
                 parser.parse_args(client + ["--wire", "3"])
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_simulated_commit_flags_are_gone(self, capsys):
+        """The commit is the WAL's fsync; the sleep that stood in for
+        it and the whole-server lock it was measured against are usage
+        errors now, not silently ignored."""
+        parser = build_parser()
+        for retired in (["--ledger-commit-seconds", "0.02"],
+                        ["--serialize-dispatch"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["serve-remote"] + retired)
+            assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_workloads_lists_all(self, capsys):

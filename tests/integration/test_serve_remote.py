@@ -7,9 +7,11 @@ the socket.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -156,7 +158,7 @@ def test_recovery_markers_precede_listening_with_batching(tmp_path):
     from repro.net.endpoint import connect
 
     args = ["--data-dir", str(tmp_path / "ledger"), "--fsync", "always",
-            "--wire", "3", "--ledger-commit-seconds", "0.005"]
+            "--wire", "3"]
     process = _spawn_serve_remote(args)
     try:
         seen = _read_until_marker(process)
@@ -199,4 +201,65 @@ def test_recovery_markers_precede_listening_with_batching(tmp_path):
         assert max(recovery_indexes) < marker_index
     finally:
         process.terminate()
+        process.wait(timeout=10)
+
+
+def test_in_process_shards_refuse_a_rolled_back_data_dir(tmp_path):
+    """``--shards N`` honours ``--anchor-dir`` like per-process shards do.
+
+    Photograph the data dir, let history move on, restore the
+    photograph: the restart must print the ``SL-Anchor`` marker and exit
+    3 instead of serving resurrected units — and the honest image must
+    still start.
+    """
+    from repro.storage.anchor import FreshnessAnchor
+
+    data, anchors = tmp_path / "ledger", tmp_path / "anchors"
+    photo, honest = tmp_path / "photo", tmp_path / "honest"
+    args = ["--shards", "2", "--data-dir", str(data),
+            "--anchor-dir", str(anchors), "--fsync", "always"]
+
+    def watermarks():
+        return {path.name: FreshnessAnchor(str(path)).read()
+                for path in anchors.glob("*.anchor")}
+
+    process = _spawn_serve_remote(args)
+    try:
+        _read_until_marker(process)
+    finally:
+        process.kill()
+        process.wait(timeout=10)
+    shutil.copytree(data, photo)            # the attacker's photograph
+
+    process = _spawn_serve_remote(args)
+    try:
+        seen = _read_until_marker(process)
+        host, port = seen[-1].split(MARKER, 1)[1].strip().rsplit(":", 1)
+        before = watermarks()
+        run_lifecycle((host, int(port)), "anchor-node", seed=5, checks=5)
+        deadline = time.monotonic() + 10.0  # the 50 ms maintenance ratchet
+        while watermarks() == before and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert watermarks() != before, "anchors never advanced past the photo"
+    finally:
+        process.kill()
+        process.wait(timeout=10)
+    shutil.copytree(data, honest)
+
+    shutil.rmtree(data)                     # the rollback
+    shutil.copytree(photo, data)
+    process = _spawn_serve_remote(args)
+    output, _ = process.communicate(timeout=30)
+    assert process.returncode == 3, output
+    assert "SL-Anchor shard-" in output and "stale image" in output
+    assert MARKER not in output
+
+    shutil.rmtree(data)
+    shutil.copytree(honest, data)
+    process = _spawn_serve_remote(args)
+    try:
+        seen = _read_until_marker(process)
+        assert sum(line.startswith("SL-Recovery") for line in seen) == 2
+    finally:
+        process.kill()
         process.wait(timeout=10)

@@ -346,7 +346,7 @@ class TestAdaptiveLagBudget:
         ))
         manager = ReplicationManager(fresh_remote(), "b")
         manager.store = store
-        result = manager.handle_promote("a")
+        result = manager.handle_promote({"source": "a", "epoch": 1})
         assert result["installed"] == {"lic": 500}
         assert manager.remote.ledger("lic").lost_units == 500
 
@@ -474,7 +474,7 @@ class TestPromotion:
     def test_reserve_is_min_of_available_and_budget(self):
         manager = ReplicationManager(fresh_remote(), "b")
         manager.store.apply_snapshot(snapshot_of(budget=32))
-        result = manager.handle_promote("a")
+        result = manager.handle_promote({"source": "a", "epoch": 1})
         assert result["already"] is False
         assert result["installed"] == {"lic": 32}
         ledger = manager.remote.ledger("lic")
@@ -488,24 +488,24 @@ class TestPromotion:
             source="a", seq=0, budget=32, licenses={"lic": record},
             identity={"next_slid": 1, "clients": {}},
         ))
-        result = manager.handle_promote("a")
+        result = manager.handle_promote({"source": "a", "epoch": 1})
         assert result["installed"] == {"lic": 10}
         assert manager.remote.ledger("lic").available == 0
 
     def test_promotion_is_idempotent(self):
         manager = ReplicationManager(fresh_remote(), "b")
         manager.store.apply_snapshot(snapshot_of(budget=32))
-        first = manager.handle_promote("a")
-        again = manager.handle_promote("a")
+        first = manager.handle_promote({"source": "a", "epoch": 1})
+        again = manager.handle_promote({"source": "a", "epoch": 1})
         assert again["already"] is True
         assert again["installed"] == first["installed"]
         assert manager.remote.ledger("lic").lost_units == 32  # not 64
 
     def test_promotion_with_nothing_replicated_is_answerable(self):
         manager = ReplicationManager(fresh_remote(), "b")
-        result = manager.handle_promote("a")
+        result = manager.handle_promote({"source": "a", "epoch": 1})
         assert result == {"status": "ok", "already": False, "installed": {},
-                          "epoch": 0}
+                          "epoch": 1}
 
     def test_promoted_identity_preserves_escrow(self):
         manager = ReplicationManager(fresh_remote(), "b")
@@ -515,7 +515,7 @@ class TestPromotion:
                 "4": {"escrowed_root_key": 777, "graceful_shutdown": True},
             }},
         ))
-        manager.handle_promote("a")
+        manager.handle_promote({"source": "a", "epoch": 1})
         assert manager.remote._clients[4].escrowed_root_key == 777
 
     def test_promotion_serves_renewals_afterwards(self):
@@ -531,7 +531,7 @@ class TestPromotion:
         replication.snapshot_now()
         granted = renew(source_remote, slid, "lic", blob).granted_units
         replication.flush_now()
-        manager.handle_promote("a")
+        manager.handle_promote({"source": "a", "epoch": 1})
         follower = manager.remote
         # Identity snapshots admitted the client; the grant replicated.
         ledger = follower.ledger("lic")
@@ -816,7 +816,8 @@ class TestIdentityQuorum:
         remote = fresh_remote()
         primary = ReplicationManager(
             remote, "a", peers={"b": LocalPeerLink(follower)},
-            followers_for=lambda lid: ["b"], quorum=quorum, **kwargs,
+            followers_for=lambda lid: ["b"],
+            owners_for=lambda lid: ["a", "b"], quorum=quorum, **kwargs,
         )
         return remote, primary, follower
 
@@ -858,6 +859,7 @@ class TestIdentityQuorum:
         primary = ReplicationManager(
             remote, "a", peers={"b": peer},
             followers_for=lambda lid: ["b"],
+            owners_for=lambda lid: ["a", "b"],
             quorum=1, quorum_timeout=0.05,
         )
         _machine, response = self.gated_init(primary, name="q-timeout")
@@ -873,6 +875,7 @@ class TestIdentityQuorum:
             remote, "a",
             peers={"b": LocalPeerLink(follower), "c": dead},
             followers_for=lambda lid: ["b", "c"],
+            owners_for=lambda lid: ["a", "b", "c"],
             quorum=1, quorum_timeout=1.0,
         )
         _machine, response = self.gated_init(primary, name="q-majority")
@@ -884,6 +887,7 @@ class TestIdentityQuorum:
         primary = ReplicationManager(
             remote, "a", peers={"b": RecordingPeer()},
             followers_for=lambda lid: ["b"],
+            owners_for=lambda lid: ["a", "b"],
         )
         handlers = primary.extra_handlers()
         assert "init" not in handlers and "shutdown" not in handlers
@@ -1056,6 +1060,7 @@ class TestWalBootstrap:
         manager = ReplicationManager(
             remote, "a", peers={"b": LocalPeerLink(follower)},
             followers_for=lambda lid: ["b"],
+            owners_for=lambda lid: ["a", "b"],
         )
         manager.source.snapshot_now()  # warm the peer (empty fleet)
         blob = remote.issue_license("lic", POOL).license_blob()
