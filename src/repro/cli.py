@@ -647,13 +647,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--io", choices=("threads", "async"),
                               default="threads",
                               help="connection model: one thread per "
-                                   "connection ('threads') or a single "
-                                   "event loop holding every connection "
-                                   "with a bounded dispatch pool ('async')")
+                                   "connection ('threads') or a bounded "
+                                   "leader/followers pool sharing one "
+                                   "selector, where the thread that sees a "
+                                   "socket readable answers it ('async')")
     serve_parser.add_argument("--max-workers", type=int, default=8,
-                              help="dispatch-pool size for --io async "
-                                   "(concurrent handler calls; idle "
-                                   "connections are free)")
+                              help="serving-pool cap for --io async: "
+                                   "handlers that may block at once (fsync, "
+                                   "quorum wait, license lock) plus one to "
+                                   "watch the sockets; threads start on "
+                                   "demand and idle connections are free")
     serve_parser.add_argument("--max-connections", type=int, default=None,
                               help="shed connections beyond this cap with "
                                    "a typed error envelope instead of "

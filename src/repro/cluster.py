@@ -78,7 +78,7 @@ class Cluster:
         #: loopbacks (results must be identical — the serialized backend
         #: just proves the tiers share no objects); ``"tcp"``/``"async"``
         #: put a real wire server in front of the same remote and drive
-        #: it over actual sockets (threaded vs event-loop serving), so
+        #: it over actual sockets (threaded vs selector-pool serving), so
         #: protocol outcomes must still match while client clocks pick
         #: up real-wire accounting instead.
         self.transport = transport

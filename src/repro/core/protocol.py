@@ -118,7 +118,7 @@ class BatchRequest:
     Client transports gather renewals that arrive within a batching
     window into one of these; SL-Remote answers with a
     :class:`BatchResponse` whose slots line up positionally, and the
-    whole batch pays one executor hop and (per distinct license) one
+    whole batch pays one thread hand-off and (per distinct license) one
     ledger-commit charge instead of N.
     """
 

@@ -138,7 +138,7 @@ class SecureLeaseDeployment:
             self.rng.fork("net"),
         )
         #: ``"tcp"``/``"async"`` front the same remote with a real wire
-        #: server (threaded vs event-loop) and connect the machine over
+        #: server (threaded vs selector pool) and connect the machine over
         #: an actual socket; protocol outcomes must match the loopbacks.
         self._wire_server = None
         if endpoint is not None:

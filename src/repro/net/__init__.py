@@ -20,7 +20,7 @@ package supplies:
   (:mod:`repro.net.rpc`),
 * a socket server for running SL-Remote as its own process
   (:mod:`repro.net.server`),
-* an event-loop server and a pipelining, correlation-tagged client for
+* a leader/followers server and a pipelining, correlation-tagged client for
   fleets of mostly-idle connections (:mod:`repro.net.aio`),
 * consistent-hash sharding of the license ledgers across N servers with
   a routing layer (:mod:`repro.net.sharding`), and

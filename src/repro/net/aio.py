@@ -1,21 +1,20 @@
-"""Event-loop lease serving and a pipelining socket client.
+"""Leader/followers lease serving and a pipelining socket client.
 
 The paper's deployment shape is one vendor SL-Remote in front of a
 large fleet of mostly-idle SL-Locals that wake up only to renew their
-sub-GCLs.  That is the many-idle-connections regime where the
-thread-per-connection :class:`~repro.net.server.LeaseServer` stops
-scaling long before the per-license locks do: every idle socket costs a
-resident OS thread.  This module holds connections on a single
-``asyncio`` event loop instead, so an idle SL-Local costs one reader
-callback and nothing else:
+sub-GCLs, on the protected application's critical path: park thousands
+of idle sockets for free, answer the one that wakes in the fewest steps.
 
-* :class:`AsyncLeaseServer` — one event loop accepts and frames
-  thousands of connections; decoded requests are dispatched into a
-  **bounded** worker pool (``run_in_executor``), so the license-lock-
-  holding :class:`~repro.core.sl_remote.SlRemote` handlers stay
-  synchronous and the sharding release's concurrency semantics are
-  untouched.  Responses are written as handlers finish — out of order
-  when the client opted into pipelining, strictly in order otherwise.
+* :class:`AsyncLeaseServer` — up to ``max_workers`` threads share one
+  selector.  Exactly one, the **leader**, waits in ``select()``; when a
+  connection turns readable it disarms it, hands leadership to a
+  follower (the only cross-thread step) and itself does ``recv`` →
+  frame → decode → dispatch → encode → ``sendall``.  No request is
+  queued to another thread and no reply travels back through a loop.
+  An idle SL-Local costs one selector registration, a blocking handler
+  (fsync, quorum wait, license lock) stalls only its own thread, and a
+  half-sent frame waits in a per-connection buffer.  Handlers stay
+  synchronous, so the sharding release's semantics are untouched.
 * :class:`AsyncTcpTransport` — a drop-in
   :class:`~repro.net.transport.Transport` that keeps **multiple
   requests in flight on one socket**.  Each request envelope is tagged
@@ -27,13 +26,15 @@ callback and nothing else:
 
 Ordering contract
 -----------------
-A request **without** a correlation tag — the strict-ordered
-:class:`~repro.net.transport.TcpTransport` — is dispatched and
-answered before the next frame of that connection is read, exactly like
-the threaded server, so position-matching clients never see a reorder.
-A request **with** a tag runs concurrently and its response carries the
-tag back.  One connection can be as pipelined as its client asked for,
-and no more.
+Kept by *when* a connection is re-armed.  A request **without** a
+correlation tag — the strict-ordered
+:class:`~repro.net.transport.TcpTransport` — is answered before the
+connection's next frame is looked at, and only then is the connection
+re-armed, so position-matching clients never see a reorder.  A request
+**with** a tag gives the connection back *before* dispatch — to the
+selector, or to the next free thread when more of a burst is already
+buffered — so tagged requests run side by side and each reply carries
+its tag.  A connection is as pipelined as its client asked, no more.
 
 Connection resilience mirrors :class:`~repro.net.transport.TcpTransport`:
 dialing has its own reconnect budget with exponential backoff, separate
@@ -46,11 +47,13 @@ root keys) is keyed by it, not by the socket.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import selectors
 import socket as _socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.net import codec
 from repro.net.endpoint import EndpointConfig
@@ -62,11 +65,7 @@ from repro.net.errors import (
     TransportError,
 )
 from repro.core.protocol import BatchRequest, BatchResponse
-from repro.net.server import (
-    WireStats,
-    attach_server_stats,
-    overload_frame,
-)
+from repro.net.stats import WireStats, attach_server_stats, overload_frame
 from repro.net.transport import (
     HandlerTable,
     RenewCoalescer,
@@ -77,20 +76,39 @@ from repro.net.network import NetworkConditions
 from repro.sgx.driver import SgxStats, ThreadSafeSgxStats
 from repro.sim.clock import Clock, ThreadSafeClock, seconds_to_cycles
 
+#: A reply is a blocking ``sendall`` on the serving thread, so a peer
+#: that stops reading holds that thread for at most this long and is
+#: then dropped: at most ``max_workers`` stalled readers, for a bounded time.
+SEND_TIMEOUT_SECONDS = 10.0
+_RECV_BYTES = 65536
+
+
+class _Connection:
+    """An accepted socket, its unframed bytes (a half-sent frame waits
+    here, not in a thread) and the lock that keeps replies whole."""
+
+    __slots__ = ("sock", "inbox", "write_lock")
+
+    def __init__(self, sock: _socket.socket) -> None:
+        self.sock = sock
+        self.inbox = bytearray()
+        self.write_lock = threading.Lock()
+
 
 class AsyncLeaseServer:
-    """Serve one SL-Remote (or a sharded fleet) on a single event loop.
+    """Serve one SL-Remote (or a sharded fleet) from a leader/followers pool.
 
     API-compatible with :class:`~repro.net.server.LeaseServer` —
     ``start()/stop()/wait()``, the same counters, the same handler
     dispatch with the server-owned clock/stats — so every wiring point
     (CLI, cluster, benchmarks) can switch IO backends with one knob.
 
-    ``max_workers`` bounds the dispatch pool: that many handler calls
-    run concurrently (contending only on per-license locks), while any
-    number of idle connections wait on the loop for free.
-    ``max_connections`` sheds accepts beyond the cap with the same typed
-    error envelope as the threaded server.
+    ``max_workers`` caps the pool; threads are spawned as load demands,
+    one waits in ``select()`` and the rest answer requests (contending
+    only on per-license locks).  Size it to the handlers that may
+    *block* at once (fsync, quorum wait, a contended license) plus one
+    to watch the sockets.  ``max_connections`` sheds accepts beyond the
+    cap with the same typed error envelope as the threaded server.
     """
 
     def __init__(self, remote, host: str = "127.0.0.1", port: int = 0,
@@ -116,39 +134,47 @@ class AsyncLeaseServer:
         self.max_workers = max_workers
         self.max_connections = max_connections
         self.wire_stats = WireStats()
+        #: Guards what every serving thread updates: the counters, the
+        #: connection set and the pool bookkeeping.
+        self._counters_lock = threading.Lock()
         self.requests_served = 0
         self.errors_returned = 0
         self.connections_accepted = 0
         self.connections_shed = 0
-        self.open_connections = 0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[threading.Thread] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        self._connections: Set[_Connection] = set()
+        self._threads: List[threading.Thread] = []
+        self._idle = 0  # pool threads not answering a request right now
+        #: Held by the leader, the one thread allowed to ``select()``.
+        #: Followers queue on it; releasing it *is* the hand-off.
+        self._leader = threading.Lock()
+        #: Disarmed connections awaiting a thread: ``(method, conn)``.
+        self._ready: Deque[Tuple[Callable, _Connection]] = deque()
+        self._selector: Optional[selectors.BaseSelector] = None
         self._stopping = threading.Event()
-        self._conn_tasks: set = set()
         attach_server_stats(self.handlers, self, io_name="async")
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
+    # -- lifecycle -----------------------------------------------------
     def start(self) -> Tuple[str, int]:
-        """Spin up the event-loop thread, bind, listen; returns (host, port)."""
-        if self._loop_thread is not None:
+        """Bind, listen, start the first pool thread; returns (host, port)."""
+        if self._selector is not None:
             raise RuntimeError("server already started")
-        self._loop_thread = threading.Thread(
-            target=self._run_loop, name="lease-aio-loop", daemon=True
-        )
-        self._loop_thread.start()
-        if not self._started.wait(timeout=10.0):
-            raise RuntimeError("async lease server failed to start in time")
-        if self._startup_error is not None:
-            self._loop_thread.join(timeout=2.0)
-            self._loop_thread = None
-            raise self._startup_error
+        # SO_REUSEADDR included: a restart must not wait out TIME_WAIT.
+        self._listener = listener = _socket.create_server(
+            (self.host, self.port), backlog=self.accept_backlog)
+        listener.setblocking(False)
+        self.host, self.port = listener.getsockname()[:2]
+        self._wake_r, self._wake_w = _socket.socketpair()
+        self._wake_w.setblocking(False)  # a full pipe is a pending wake-up
+        self._selector = selectors.DefaultSelector()
+        # epoll/kqueue report an fd registered while a thread already
+        # waits; poll/select took a snapshot: there a re-arm wakes the leader.
+        self._wake_on_arm = not isinstance(self._selector, (
+            getattr(selectors, "EpollSelector", ()),
+            getattr(selectors, "KqueueSelector", ())))
+        self._selector.register(listener, selectors.EVENT_READ, self._accept)
+        self._selector.register(self._wake_r, selectors.EVENT_READ,
+                                lambda: self._wake_r.recv(4096))
+        self._spawn_worker()  # no second thread yet to race the bookkeeping
         return self.address
 
     @property
@@ -157,197 +183,205 @@ class AsyncLeaseServer:
 
     @property
     def live_workers(self) -> int:
-        """Dispatch-pool upper bound (there is no thread per connection)."""
+        """Serving-pool upper bound (there is no thread per connection)."""
         return self.max_workers
 
+    @property
+    def open_connections(self) -> int:
+        return len(self._connections)
+
     def stop(self) -> None:
-        """Close the listener, drain, and stop the event loop."""
-        self._stopping.set()
-        loop, stop_event = self._loop, self._stop_event
-        if loop is not None and stop_event is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop_event.set)
-        if self._loop_thread is not None:
-            self._loop_thread.join(timeout=5.0)
-            self._loop_thread = None
+        """Stop serving, join the pool, close every socket."""
+        stopped = self._stopping.is_set()
+        self._stopping.set()  # even if never started: wait() must return
+        if self._selector is None or stopped:
+            return
+        self._wake()
+        for thread in self._threads:  # sees a thread a hand-off adds late
+            thread.join(timeout=5.0)
+        with self._counters_lock:
+            connections, self._connections = self._connections, set()
+        for sock in [conn.sock for conn in connections] + [
+                self._listener, self._wake_r, self._wake_w]:
+            sock.close()
+        self._selector.close()
 
     def wait(self) -> None:
         """Block the calling thread until :meth:`stop` (CLI foreground)."""
         self._stopping.wait()
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._main())
-        finally:
-            asyncio.set_event_loop(None)
-            loop.close()
+    # -- the pool: one leader in select(), followers queued on the lock --
+    def _spawn_worker(self) -> None:
+        """Under ``_counters_lock``; the new thread starts idle."""
+        thread = threading.Thread(
+            target=self._run, daemon=True,
+            name=f"lease-aio-worker-{len(self._threads)}")
+        self._threads.append(thread)
+        self._idle += 1
+        thread.start()
 
-    async def _main(self) -> None:
-        self._stop_event = asyncio.Event()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="lease-aio-worker"
-        )
-        try:
-            server = await asyncio.start_server(
-                self._serve_connection, self.host, self.port,
-                backlog=self.accept_backlog,
-            )
-        except OSError as exc:
-            self._startup_error = exc
-            self._started.set()
-            self._executor.shutdown(wait=False)
-            return
-        self._server = server
-        self.host, self.port = server.sockets[0].getsockname()[:2]
-        self._started.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks,
-                                     return_exceptions=True)
-            self._executor.shutdown(wait=False)
-            self._stopping.set()
-
-    # ------------------------------------------------------------------
-    # Serving
-    # ------------------------------------------------------------------
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            try:
-                # Keep the port rebindable across restarts even while
-                # accepted sockets linger in FIN_WAIT (mirrors the
-                # threaded server).
-                sock.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
-            except OSError:
-                pass
-        if (self.max_connections is not None
-                and self.open_connections >= self.max_connections):
-            # Same typed brush-off as the threaded server's accept cap.
-            self.connections_shed += 1
-            try:
-                writer.write(overload_frame())
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-            finally:
-                writer.close()
-            return
-        self.connections_accepted += 1
-        self.open_connections += 1
-        this_task = asyncio.current_task()
-        if this_task is not None:
-            self._conn_tasks.add(this_task)
-        write_lock = asyncio.Lock()
-        in_flight: set = set()
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(codec.FRAME_HEADER.size)
-                    data = await reader.readexactly(codec.frame_length(header))
-                except (asyncio.IncompleteReadError, ConnectionError,
-                        OSError):
-                    return  # peer gone
-                except codec.CodecError:
-                    # A length prefix past MAX_FRAME_BYTES: stream sync
-                    # is unrecoverable so the connection must die, but
-                    # the tampered frame is counted first (mirrors the
-                    # threaded server).
-                    self.wire_stats.note_rejected()
+    def _run(self) -> None:
+        while True:
+            with self._leader:
+                if not self._ready and not self._stopping.is_set():
+                    for key, _events in self._selector.select():
+                        if isinstance(key.data, _Connection):
+                            # Disarmed: its read side is the taker's.
+                            self._selector.unregister(key.fd)
+                            self._ready.append((self._receive, key.data))
+                        else:
+                            key.data()  # accept / drain the wake pipe
+                if self._stopping.is_set():
                     return
-                self.wire_stats.note_decoded(
-                    len(data) + codec.FRAME_HEADER.size
-                )
-                try:
-                    method, payload, request_id, meta = \
-                        codec.decode_request_envelope(data)
-                except codec.CodecError as exc:
-                    # Framing held but the payload would not decode:
-                    # tampering evidence — typed error envelope back,
-                    # and the rejection is counted for audits.
-                    self.wire_stats.note_rejected()
-                    self.errors_returned += 1
-                    await self._write(writer, write_lock, codec.encode_error(
-                        f"{type(exc).__name__}: {exc}", 0,
-                    ))
+                if not self._ready:
                     continue
-                corr = meta.get(codec.CORRELATION_KEY)
-                if method == "renew_batch" and hasattr(payload, "requests"):
-                    self.wire_stats.note_batch(len(payload.requests))
-                handling = self._respond(
-                    method, payload, request_id, corr, writer, write_lock,
-                )
-                if corr is None:
-                    # Strict-ordered mode: a peer that did not tag the
-                    # request matches responses by position, so answer
-                    # before reading its next frame (threaded-server
-                    # semantics).
-                    await handling
-                else:
-                    task = asyncio.get_running_loop().create_task(handling)
-                    in_flight.add(task)
-                    task.add_done_callback(in_flight.discard)
-        except asyncio.CancelledError:
-            # stop() cancels every connection task; finishing normally
-            # then keeps asyncio's client_connected_cb done-callback
-            # from calling exception() on a cancelled task and logging
-            # one traceback per open connection.
-            if not self._stopping.is_set():
-                raise
-        finally:
-            for task in in_flight:
-                task.cancel()
-            if this_task is not None:
-                self._conn_tasks.discard(this_task)
-            self.open_connections -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                method, conn = self._ready.popleft()
+                with self._counters_lock:
+                    # Leaving select() to a follower: have one, up to the cap.
+                    self._idle -= 1
+                    if not self._idle and len(self._threads) < self.max_workers:
+                        self._spawn_worker()
+            method(conn)
+            with self._counters_lock:
+                self._idle += 1
 
-    async def _respond(self, method: str, payload: Any, request_id: int,
-                       corr: Optional[Any], writer: asyncio.StreamWriter,
-                       write_lock: asyncio.Lock) -> None:
+    def _wake(self) -> None:
+        with contextlib.suppress(BlockingIOError):
+            self._wake_w.send(b"\0")
+
+    def _arm(self, conn: _Connection) -> None:
+        """Give ``conn``'s read side back to the selector."""
+        try:
+            self._selector.register(conn.sock, selectors.EVENT_READ, conn)
+        except (ValueError, OSError):
+            return  # stop() closed it under a handler that outlived the join
+        if self._wake_on_arm:
+            self._wake()
+
+    def _accept(self) -> None:
+        """Leader-side: take what the backlog holds, never blocking."""
+        for _ in range(self.accept_backlog):
+            try:
+                sock, _peer = self._listener.accept()
+            except OSError:
+                return  # drained (or the peer already reset)
+            with contextlib.suppress(OSError):
+                # Accepted sockets linger in FIN_WAIT after a stop() and
+                # would block a rebind; Nagle would only delay a reply.
+                sock.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
+                sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
+            sock.settimeout(SEND_TIMEOUT_SECONDS)
+            if (self.max_connections is not None
+                    and self.open_connections >= self.max_connections):
+                # Same typed brush-off as the threaded server's accept cap.
+                with self._counters_lock:
+                    self.connections_shed += 1
+                with contextlib.suppress(OSError):
+                    sock.sendall(overload_frame())
+                sock.close()
+                continue
+            conn = _Connection(sock)
+            with self._counters_lock:
+                self.connections_accepted += 1
+                self._connections.add(conn)
+            self._arm(conn)
+
+    # -- serving: the thread that took the connection does all of it ---
+    def _receive(self, conn: _Connection) -> None:
+        """The selector said readable: one ``recv``, then the frames."""
+        try:
+            chunk = conn.sock.recv(_RECV_BYTES)
+        except OSError:
+            chunk = b""
+        if not chunk:
+            return self._close(conn)  # peer gone
+        conn.inbox += chunk
+        self._serve(conn)
+
+    def _close(self, conn: _Connection) -> None:
+        """Only for the thread holding ``conn``'s read side."""
+        with self._counters_lock:
+            self._connections.discard(conn)
+        conn.sock.close()
+
+    def _serve(self, conn: _Connection) -> None:
+        """Answer ``conn``'s complete frames; owns its read side until
+        it re-arms the connection or hands the rest of a burst on."""
+        header_size = codec.FRAME_HEADER.size
+        inbox = conn.inbox
+        while len(inbox) >= header_size:
+            try:
+                end = header_size + codec.frame_length(inbox[:header_size])
+            except codec.CodecError:
+                # A length prefix past MAX_FRAME_BYTES: stream sync is
+                # lost, so the connection dies — counted first.
+                self.wire_stats.note_rejected()
+                return self._close(conn)
+            if len(inbox) < end:
+                break
+            data = bytes(inbox[header_size:end])
+            del inbox[:end]
+            self.wire_stats.note_decoded(end)
+            try:
+                method, payload, request_id, meta = \
+                    codec.decode_request_envelope(data)
+            except codec.CodecError as exc:
+                # Framing held but the payload would not decode: typed
+                # error envelope back, rejection counted for audits.
+                self.wire_stats.note_rejected()
+                with self._counters_lock:
+                    self.errors_returned += 1
+                self._write(conn, codec.encode_error(
+                    f"{type(exc).__name__}: {exc}", 0))
+                continue
+            if method == "renew_batch" and hasattr(payload, "requests"):
+                self.wire_stats.note_batch(len(payload.requests))
+            corr = meta.get(codec.CORRELATION_KEY)
+            if corr is None:
+                # Strict order: this peer matches replies by position,
+                # so answer before looking at its next frame.
+                self._answer(conn, method, payload, request_id, None)
+                continue
+            # Tagged: give up the read side *before* dispatch, so later
+            # requests run beside this one — a buffered burst on the next
+            # free pool thread, bytes still on the wire via the selector.
+            if inbox:
+                self._ready.append((self._serve, conn))
+                self._wake()
+            else:
+                self._arm(conn)
+            return self._answer(conn, method, payload, request_id, corr)
+        self._arm(conn)
+
+    def _answer(self, conn: _Connection, method: str, payload: Any,
+                request_id: int, corr: Optional[Any]) -> None:
         meta = {codec.CORRELATION_KEY: corr} if corr is not None else None
         try:
-            response = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._dispatch, method, payload
-            )
+            reply = codec.encode_response(self.handlers.dispatch(
+                method, payload, clock=self.clock, stats=self.stats
+            ), request_id, meta=meta)
         except Exception as exc:  # noqa: BLE001 - every fault becomes a wire error
-            self.errors_returned += 1
+            with self._counters_lock:
+                self.errors_returned += 1
             reply = codec.encode_error(
-                f"{type(exc).__name__}: {exc}", request_id, meta=meta,
-            )
+                f"{type(exc).__name__}: {exc}", request_id, meta=meta)
         else:
-            self.requests_served += 1
-            reply = codec.encode_response(response, request_id, meta=meta)
-        await self._write(writer, write_lock, reply)
+            with self._counters_lock:
+                self.requests_served += 1
+        self._write(conn, reply)
 
-    def _dispatch(self, method: str, payload: Any):
-        """Runs on a pool thread: sync handlers, per-license locks inside."""
-        return self.handlers.dispatch(
-            method, payload, clock=self.clock, stats=self.stats
-        )
-
-    async def _write(self, writer: asyncio.StreamWriter,
-                     write_lock: asyncio.Lock, reply: bytes) -> None:
+    def _write(self, conn: _Connection, reply: bytes) -> None:
         framed = codec.frame(reply)
         self.wire_stats.note_encoded(len(framed))
-        async with write_lock:
+        with conn.write_lock:
             try:
-                writer.write(framed)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # peer vanished between dispatch and reply
+                conn.sock.sendall(framed)
+            except OSError:
+                # Peer gone, or SEND_TIMEOUT_SECONDS ran out mid-frame.
+                # This thread may not hold the read side: a shutdown
+                # reads as EOF to the one that does, which closes.
+                with contextlib.suppress(OSError):
+                    conn.sock.shutdown(_socket.SHUT_RDWR)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Typed fleet introspection: the ``_server_stats`` report as data.
 
 Three ad-hoc dict shapes used to describe a running server — the
-``_server_stats`` envelope built in :mod:`repro.net.server`, the
-per-license renewal-health report from
+``_server_stats`` envelope, the per-license renewal-health report from
 :meth:`repro.core.sl_remote.SlRemote.renewal_health`, and the quorum
 control plane's :meth:`~repro.net.replication.ReplicationManager.health`
 — each consumed by greps into nested dicts.  This module gives them one
@@ -22,6 +21,9 @@ accepts both the single-remote and the ``{shard: report}`` sharded
 shapes.  All three types are registered with the codec so the v3 binary
 wire has field tables for them.
 
+What both socket servers share (:class:`WireStats`, the probe builders,
+:func:`overload_frame`) lives here too, so neither imports the other.
+
 Every report is bounded-size by construction: nothing here ever ships a
 full ``outstanding``/``node_conditions`` map (see
 :func:`repro.core.sl_remote.ledger_summary` for the bounded ledger view
@@ -30,10 +32,14 @@ and the ``detail="full"`` probe opt-in for the O(C) dump).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
 from repro.net import codec
+from repro.net.transport import HandlerTable
+from repro.sgx.driver import SgxStats
+from repro.sim.clock import Clock
 
 
 @dataclass(frozen=True)
@@ -236,6 +242,143 @@ class ServerStats:
         if isinstance(self.replication, dict):
             return dict(self.replication)
         return {"": self.replication}
+
+
+#: Error-envelope text prefix for capacity shedding.  A server over its
+#: ``max_connections`` cap answers a fresh connection with exactly one
+#: error envelope built from this prefix and closes; clients see it as a
+#: typed :class:`~repro.net.codec.RemoteCallError` (never retried — the
+#: far side *answered*) and the envelope metadata carries
+#: ``{"overloaded": true}`` for programmatic handling.
+OVERLOAD_ERROR = "ServerOverloaded"
+
+
+def overload_frame() -> bytes:
+    """The one-frame brush-off sent to a connection over the cap."""
+    return codec.frame(codec.encode_error(
+        f"{OVERLOAD_ERROR}: connection shed, server at max_connections",
+        0, meta={"overloaded": True},
+    ))
+
+
+class WireStats:
+    """Codec/transport counters shared by both server IO backends.
+
+    Everything a benchmark needs to report honestly: actual bytes and
+    frames through the codec, and how renewals coalesce into batches.
+    All updates take one lock — these counters feed published numbers,
+    so concurrent connections must not undercount them.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.bytes_decoded = 0
+        self.bytes_encoded = 0
+        self.frames_decoded = 0
+        self.frames_encoded = 0
+        self.batch_frames = 0
+        self.batched_renewals = 0
+        self.largest_batch = 0
+        #: Frames that failed to decode (bad length prefix, checksum
+        #: mismatch, garbage envelope).  Tampered traffic must be
+        #: *observable*: every rejection is counted here in addition to
+        #: the typed error envelope (or connection close) it earns.
+        self.frames_rejected = 0
+
+    def note_decoded(self, nbytes: int) -> None:
+        with self._lock:
+            self.bytes_decoded += nbytes
+            self.frames_decoded += 1
+
+    def note_encoded(self, nbytes: int) -> None:
+        with self._lock:
+            self.bytes_encoded += nbytes
+            self.frames_encoded += 1
+
+    def note_batch(self, size: int) -> None:
+        with self._lock:
+            self.batch_frames += 1
+            self.batched_renewals += size
+            self.largest_batch = max(self.largest_batch, size)
+
+    def note_rejected(self) -> None:
+        with self._lock:
+            self.frames_rejected += 1
+
+    def snapshot(self) -> dict:
+        with self._lock:
+            return {
+                "bytes_decoded": self.bytes_decoded,
+                "bytes_encoded": self.bytes_encoded,
+                "frames_decoded": self.frames_decoded,
+                "frames_encoded": self.frames_encoded,
+                "batch_frames": self.batch_frames,
+                "batched_renewals": self.batched_renewals,
+                "largest_batch": self.largest_batch,
+                "frames_rejected": self.frames_rejected,
+            }
+
+
+def attach_server_stats(handlers: HandlerTable, server, io_name: str) -> None:
+    """Register the ``_server_stats`` introspection method on a server.
+
+    Benchmarks and operators probe it over the wire to compare IO
+    backends — most importantly ``resident_threads``, the number every
+    idle connection inflates on the threaded server and the selector
+    server keeps flat — and the codec counters that price each renewal
+    in actual bytes.  When the served remote
+    replicates, the report carries the quorum control plane's health:
+    per-peer ack lag, the current promotion epoch, the configured
+    quorum, and the EXHAUSTED-response counter the adaptive-renewal
+    loop watches for backpressure.
+    """
+    def _server_stats(_request, clock: Optional[Clock] = None,
+                      stats: Optional[SgxStats] = None):
+        return build_server_stats(server, io_name).to_wire()
+
+    handlers.register("_server_stats", _server_stats)
+
+
+def build_server_stats(server, io_name: str) -> ServerStats:
+    """Assemble the typed :class:`ServerStats` report.
+
+    The sections come back from the served remote as the historical
+    dict shapes (a plain remote's report, or ``{shard: report}`` for an
+    in-process sharded fleet); they are lifted into the typed sections
+    here, and ``to_wire`` reproduces the exact dicts old consumers
+    expect.
+    """
+    wire_stats = getattr(server, "wire_stats", None)
+    remote = getattr(server, "remote", None)
+    exhausted = getattr(remote, "exhausted_served", None)
+    renewal = None
+    renewal_health = getattr(remote, "renewal_health", None)
+    if callable(renewal_health):
+        try:
+            renewal = sniff_renewal(renewal_health())
+        except Exception:  # noqa: BLE001 - stats must never fail a probe
+            pass
+    replication = None
+    health = getattr(server, "replication_health", None)
+    if health is None:
+        health = getattr(remote, "replication_health", None)
+    if callable(health):
+        try:
+            replication = sniff_replication(health())
+        except Exception:  # noqa: BLE001 - stats must never fail a probe
+            pass
+    return ServerStats(
+        io=io_name,
+        requests_served=server.requests_served,
+        errors_returned=server.errors_returned,
+        connections_accepted=server.connections_accepted,
+        connections_shed=server.connections_shed,
+        resident_threads=threading.active_count(),
+        wire=wire_stats.snapshot() if wire_stats is not None else None,
+        exhausted_served=exhausted,
+        renewal=renewal,
+        replication=replication,
+    )
 
 
 def format_stats(address: str, stats: ServerStats) -> str:

@@ -251,7 +251,7 @@ class RenewCoalescer:
     next round, so the pipeline never stalls behind an in-flight batch.
 
     The payoff is server-side: N coalesced renewals cost one frame, one
-    executor hop, and one durable ledger commit (one group fsync)
+    thread hand-off, and one durable ledger commit (one group fsync)
     instead of N of each; ``bench/``'s ``batch_durable`` workload
     measures it.
     """

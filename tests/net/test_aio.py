@@ -1,7 +1,9 @@
-"""AsyncLeaseServer + AsyncTcpTransport: event-loop serving, pipelining,
-correlation routing, connection caps, and reconnect resilience."""
+"""AsyncLeaseServer + AsyncTcpTransport: leader/followers serving,
+pipelining, correlation routing, connection caps, and reconnect
+resilience."""
 
 import socket
+import sys
 import threading
 import time
 
@@ -18,7 +20,8 @@ from repro.net.endpoint import connect, endpoint_for
 from repro.net.errors import Overloaded
 from repro.net.network import NetworkConditions
 from repro.net.rpc import RpcError
-from repro.net.server import OVERLOAD_ERROR, LeaseServer
+from repro.net.server import LeaseServer
+from repro.net.stats import OVERLOAD_ERROR
 from repro.net.sharding import HashRing, default_shard_names
 from repro.sgx import RemoteAttestationService, SgxMachine
 from repro.sim.clock import Clock, seconds_to_cycles
@@ -113,29 +116,43 @@ class TestAsyncLifecycle:
         endpoint.close()
 
     def test_stop_with_open_connections_logs_nothing(self, capfd):
-        """stop() cancels every connection task; asyncio must not log
-        one ``CancelledError`` traceback per open connection."""
+        """stop() with idle connections and a handler in flight: the
+        reply still goes out, every pool thread is joined, every socket
+        is closed, and nothing is printed."""
         remote = SlRemote(RemoteAttestationService(accept_any_platform=True))
         srv = AsyncLeaseServer(remote, port=0)
+        entered = threading.Event()
+
+        def slow_echo(request):
+            entered.set()
+            time.sleep(0.3)
+            return request
+
+        srv.handlers.register("slow_echo", slow_echo)
         srv.start()
-        recorded = []
-        srv._loop.call_soon_threadsafe(
-            srv._loop.set_exception_handler,
-            lambda _loop, context: recorded.append(context),
-        )
         clients = [dial_async(*srv.address), dial_tcp(*srv.address),
                    dial_async(*srv.address)]
+        answers = []
+        caller = threading.Thread(target=lambda: answers.append(
+            clients[0].call("slow_echo", "in flight", clock=Clock())))
         try:
             for index, endpoint in enumerate(clients):
                 raw_init(endpoint, SgxMachine(f"open-{index}"))
             assert srv.open_connections == len(clients)
+            caller.start()
+            assert entered.wait(timeout=5)
             srv.stop()
             assert srv.open_connections == 0
+            assert [thread.name for thread in threading.enumerate()
+                    if thread.name.startswith("lease-aio-")
+                    and thread.name != "lease-aio-client"] == []
+            caller.join(timeout=5)
+            assert answers == ["in flight"]
         finally:
             for endpoint in clients:
                 endpoint.close()
-        assert recorded == []
-        assert "CancelledError" not in capfd.readouterr().err
+        captured = capfd.readouterr()
+        assert (captured.out, captured.err) == ("", "")
 
     def test_async_tcp_cannot_bypass_the_network(self):
         endpoint = dial_async("127.0.0.1", 1)
@@ -267,6 +284,184 @@ class TestPipelining:
         reply = codec.decode_reply(data)
         assert reply.request_id == 7
         assert codec.CORRELATION_KEY not in reply.meta
+
+
+def _read_reply(sock):
+    header = _recv_exactly(sock, codec.FRAME_HEADER.size)
+    return codec.decode_reply(
+        _recv_exactly(sock, codec.frame_length(header)))
+
+
+def _request_frame(method, payload, request_id, tagged=False):
+    meta = {codec.CORRELATION_KEY: request_id} if tagged else None
+    return codec.frame(codec.encode_request(method, payload, request_id,
+                                            meta=meta))
+
+
+class TestLeaderFollowers:
+    """The serving pool itself: who reads, who answers, who waits."""
+
+    def _server(self, **options):
+        remote = SlRemote(RemoteAttestationService(accept_any_platform=True))
+        remote.issue_license(LICENSE, POOL)
+        return AsyncLeaseServer(remote, port=0, **options)
+
+    def test_half_sent_frame_does_not_pin_the_only_worker(self):
+        srv = self._server(max_workers=1)
+        srv.start()
+        try:
+            frame = _request_frame("ledger_probe", LICENSE, 41)
+            with socket.create_connection(srv.address, timeout=5) as staller:
+                staller.sendall(frame[:len(frame) // 2])
+                machine, sl_local = make_client(srv, "beside-staller", seed=5)
+                sl_local.init()
+                blob = srv.remote.license_definition(LICENSE).license_blob()
+                assert sl_local._fetch_lease(LICENSE, blob) is Status.OK
+                sl_local.remote.close()
+                # ...and the staller is answered once it finishes.
+                staller.sendall(frame[len(frame) // 2:])
+                assert _read_reply(staller).request_id == 41
+        finally:
+            srv.stop()
+
+    def test_frame_arriving_one_byte_at_a_time_is_reassembled(self, server):
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in _request_frame("ledger_probe", LICENSE, 9):
+                sock.sendall(bytes([byte]))
+                time.sleep(0.001)
+            reply = _read_reply(sock)
+        assert reply.request_id == 9 and reply.error is None
+        assert server.wire_stats.frames_rejected == 0
+
+    def test_tagged_burst_in_one_segment_runs_concurrently(self, server):
+        server.handlers.register(
+            "slow_echo", lambda request: (time.sleep(0.3), request)[1])
+        with socket.create_connection(server.address, timeout=5) as sock:
+            started = time.monotonic()
+            sock.sendall(_request_frame("slow_echo", "a", 1, tagged=True)
+                         + _request_frame("slow_echo", "b", 2, tagged=True))
+            replies = [_read_reply(sock), _read_reply(sock)]
+            elapsed = time.monotonic() - started
+        assert sorted(r.meta[codec.CORRELATION_KEY] for r in replies) == [1, 2]
+        assert {r.meta[codec.CORRELATION_KEY]: r.deliver()
+                for r in replies} == {1: "a", 2: "b"}
+        assert elapsed < 0.5  # beside each other, not 0.3 s + 0.3 s
+
+    def test_untagged_burst_is_answered_in_order_one_at_a_time(self, server):
+        events = []
+
+        def traced(tag):
+            events.append(("start", tag))
+            time.sleep(0.05)
+            events.append(("end", tag))
+            return tag
+
+        server.handlers.register("traced", traced)
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(b"".join(_request_frame("traced", tag, index)
+                                  for index, tag in enumerate("abc", 1)))
+            replies = [_read_reply(sock) for _ in range(3)]
+        assert [r.request_id for r in replies] == [1, 2, 3]
+        assert [r.deliver() for r in replies] == ["a", "b", "c"]
+        # No frame was looked at before its predecessor was answered.
+        assert events == [(edge, tag) for tag in "abc"
+                          for edge in ("start", "end")]
+
+    def test_blocked_handler_does_not_delay_another_connection(self):
+        srv = self._server(max_workers=2)
+        entered = threading.Event()
+
+        def block(_request):
+            entered.set()
+            time.sleep(0.5)
+            return "done"
+
+        srv.handlers.register("block", block)
+        srv.start()
+        blocked, renewer = dial_tcp(*srv.address), dial_tcp(*srv.address)
+        answers = []
+        caller = threading.Thread(target=lambda: answers.append(
+            blocked.call("block", None, clock=Clock())))
+        try:
+            caller.start()
+            assert entered.wait(timeout=5)
+            started = time.monotonic()
+            for _ in range(20):
+                renewer.call("ledger_probe", LICENSE, clock=Clock())
+            assert time.monotonic() - started < 0.4
+            assert answers == []  # the blocked call is still blocked
+            caller.join(timeout=5)
+            assert answers == ["done"]
+        finally:
+            blocked.close()
+            renewer.close()
+            srv.stop()
+
+    def test_peer_that_never_reads_is_disconnected(self, monkeypatch):
+        from repro.net import aio
+
+        monkeypatch.setattr(aio, "SEND_TIMEOUT_SECONDS", 0.2)
+        srv = self._server()
+        srv.handlers.register("blob", lambda _request: b"x" * (1 << 20))
+        srv.start()
+        try:
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(srv.address)
+            with sock:
+                sock.sendall(b"".join(_request_frame("blob", None, index)
+                                      for index in range(1, 33)))
+                deadline = time.monotonic() + 10
+                while srv.open_connections and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                assert srv.open_connections == 0
+            # The pool is whole again: a polite client is served.
+            probe = dial_tcp(*srv.address)
+            assert probe.call("_server_stats", None,
+                              clock=Clock())["io"] == "async"
+            probe.close()
+        finally:
+            srv.stop()
+
+    def test_counters_are_exact_under_thread_contention(self, server):
+        """Many callers over several sockets with a tiny switch
+        interval: a bare ``+=`` on the pool's counters loses updates."""
+        callers, calls = 6, 150
+        # Two callers share each endpoint; the strict-ordered one
+        # serializes them itself, the pipelined ones do not.
+        endpoints = [dial_async(*server.address), dial_tcp(*server.address),
+                     dial_async(*server.address)]
+        errors = []
+
+        def hammer(index):
+            endpoint = endpoints[index % len(endpoints)]
+            try:
+                for _ in range(calls):
+                    endpoint.call("ledger_probe", LICENSE, clock=Clock())
+            except Exception as exc:  # noqa: BLE001 - surfaced to main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(i,))
+                   for i in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        stats = endpoints[0].call("_server_stats", None, clock=Clock())
+        for endpoint in endpoints:
+            endpoint.close()
+        assert stats["requests_served"] == callers * calls
+        assert stats["errors_returned"] == 0
+        assert stats["connections_accepted"] == len(endpoints)
+        assert stats["wire"]["frames_decoded"] == callers * calls + 1
+        assert stats["wire"]["frames_encoded"] == callers * calls
 
 
 def _recv_exactly(sock, count):
