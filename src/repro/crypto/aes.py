@@ -18,15 +18,35 @@ it, while SL-Local's fresh-key-per-seal traffic just cycles the cache.
 CTR mode generates the keystream straight from ``(nonce, counter)``
 words and applies it with one wide integer XOR.
 
+There are two kernels over the same tables and the same memoised key
+schedule, because the two shapes of traffic genuinely conflict:
+
+* :func:`aes128_ctr_encrypt` — scalar Python, one message at a time.
+  Right for one short message under a fresh key (SL-Local's lease-tree
+  seals, the WAL snapshot), and the oracle every test compares against:
+  a 9-block record costs it ~120 us, the bulk kernel ~200 us.
+* :func:`aes128_ctr_keystreams` — the keystream only, for many nonces
+  under *one* key at once.  CTR keystream is a function of ``(key,
+  nonce, counter)`` alone (NIST SP 800-38A allows computing it before
+  the plaintext exists), so each AES round is a handful of ``numpy``
+  ``uint32`` table gathers over every requested counter block:
+  ~0.6 us/block from ~1,500 blocks up, against ~13 us/block scalar.
+  The write-ahead log (:mod:`repro.storage.wal`) uses it to pre-draw
+  keystream ahead of appends and to unseal a whole log in one call.
+
 The implementation is self-contained and verified against FIPS-197 /
-NIST SP 800-38A test vectors in the test suite.
+NIST SP 800-38A test vectors in the test suite; the bulk kernel is
+checked slot for slot against the scalar one.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import List, Tuple
+from itertools import accumulate
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 
 def _build_sbox() -> List[int]:
@@ -97,6 +117,19 @@ _TD0, _TD1, _TD2, _TD3 = _rotations([
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 _FOUR_WORDS = struct.Struct(">4I")
+
+# The same tables as gatherable arrays, for the bulk keystream kernel.
+_NP_TE = tuple(np.array(table, dtype=np.uint32)
+               for table in (_TE0, _TE1, _TE2, _TE3))
+_NP_SBOX = np.array(_SBOX, dtype=np.uint8)
+
+#: Counter blocks the bulk kernel holds in flight at once.  Its working
+#: set is three (4, chunk) uint32 buffers (192 KB here) whatever the
+#: request size.  Measured on a 36,000-block request (a 4,000-record
+#: log): 0.88 us/block at 512, 0.77 at 1,024, 0.61 at 2,048, 0.60 at
+#: 4,096, 0.55 at 8,192 and 16,384 - the per-round numpy call overhead
+#: is amortised by 4,096 and the buffers still sit in L2.
+KEYSTREAM_CHUNK_BLOCKS = 4096
 
 
 @lru_cache(maxsize=64)
@@ -243,3 +276,81 @@ def aes128_ctr_encrypt(plaintext: bytes, key: bytes, nonce: bytes) -> bytes:
 def aes128_ctr_decrypt(ciphertext: bytes, key: bytes, nonce: bytes) -> bytes:
     """CTR decryption is identical to encryption."""
     return aes128_ctr_encrypt(ciphertext, key, nonce)
+
+
+def aes128_ctr_keystreams(key: bytes, nonces: Sequence[bytes],
+                          blocks_each: Sequence[int]) -> List[bytes]:
+    """Raw AES-128-CTR keystream for many nonces under one key.
+
+    ``result[i]`` is the first ``blocks_each[i]`` keystream blocks for
+    ``nonces[i]`` - exactly ``aes128_ctr_encrypt(bytes(16 * n), key,
+    nonce)`` - so XORing it over a message seals or unseals it.  Every
+    requested counter block goes through the cipher together: the state
+    is four ``uint32`` column arrays and a round is four table gathers
+    over all of them, :data:`KEYSTREAM_CHUNK_BLOCKS` blocks at a time
+    into buffers reused across rounds and chunks.  Worth it from a few
+    hundred blocks up; for one short message :func:`aes128_ctr_encrypt`
+    is faster.
+    """
+    if len(nonces) != len(blocks_each):
+        raise ValueError("one block count per nonce")
+    if any(len(nonce) != 8 for nonce in nonces):
+        raise ValueError("CTR nonce must be 8 bytes")
+    if any(not 0 <= count < 1 << 32 for count in blocks_each):
+        raise ValueError("block counts must fit the 32-bit counter word")
+    schedule = _expand_key(bytes(key))
+    total = sum(blocks_each)
+    if total == 0:
+        return [b""] * len(nonces)
+    ends = np.array(list(accumulate(blocks_each)))
+    starts = ends - np.array(blocks_each)
+    round_keys = np.array(schedule, dtype=np.uint32).reshape(11, 4, 1)
+    last_key = np.frombuffer(_FOUR_WORDS.pack(*schedule[40:]), dtype=np.uint8)
+    nonce_words = np.frombuffer(b"".join(nonces), dtype=">u4").reshape(-1, 2)
+    te0, te1, te2, te3 = _NP_TE
+    out = np.empty((total, 16), dtype=np.uint8)
+    width = min(KEYSTREAM_CHUNK_BLOCKS, total)
+    buffers = np.empty((3, 4, width), dtype=np.uint32)
+    for low in range(0, total, width):
+        high = min(low + width, total)
+        size = high - low
+        state, mixed, gathered = buffers[:, :, :size]
+        # Counter block = nonce || counter, as four big-endian words
+        # (the third is the counter's high half: always zero here).
+        block = np.arange(low, high)
+        owner = np.searchsorted(ends, block, side="right")
+        state[0] = nonce_words[owner, 0]
+        state[1] = nonce_words[owner, 1]
+        state[2] = 0
+        state[3] = block - starts[owner]
+        state ^= round_keys[0]
+        for rnd in range(1, 10):
+            # [column, block, byte]; little-endian, so byte 3 is the top.
+            octets = state.view(np.uint8).reshape(4, size, 4)
+            # ShiftRows: output column c reads row r of column c + r.
+            np.take(te0, octets[:, :, 3], out=mixed)
+            np.take(te1, octets[:, :, 2], out=gathered)
+            mixed[:3] ^= gathered[1:]
+            mixed[3:] ^= gathered[:1]
+            np.take(te2, octets[:, :, 1], out=gathered)
+            mixed[:2] ^= gathered[2:]
+            mixed[2:] ^= gathered[:2]
+            np.take(te3, octets[:, :, 0], out=gathered)
+            mixed[:1] ^= gathered[3:]
+            mixed[1:] ^= gathered[:3]
+            mixed ^= round_keys[rnd]
+            state, mixed = mixed, state
+        # Final round (no MixColumns), written as big-endian bytes.
+        octets = _NP_SBOX[state.view(np.uint8).reshape(4, size, 4)]
+        stream = out[low:high].reshape(size, 4, 4)  # [block, column, byte]
+        stream[:, :, 0] = octets[:, :, 3].T
+        stream[:, :3, 1] = octets[1:, :, 2].T
+        stream[:, 3:, 1] = octets[:1, :, 2].T
+        stream[:, :2, 2] = octets[2:, :, 1].T
+        stream[:, 2:, 2] = octets[:2, :, 1].T
+        stream[:, :1, 3] = octets[3:, :, 0].T
+        stream[:, 1:, 3] = octets[:3, :, 0].T
+        out[low:high] ^= last_key
+    flat = out.tobytes()
+    return [flat[16 * low:16 * high]
+            for low, high in zip(starts.tolist(), ends.tolist())]

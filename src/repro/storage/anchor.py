@@ -23,9 +23,11 @@ them the CPU's counters.
 
 Wire-up (see :class:`~repro.storage.wal.ShardPersistence`):
 
-* every compaction / maintenance sync / clean close ratchets the
-  anchor to ``wal.last_seq`` (monotonic — :meth:`advance` never moves
-  backward, like ``psw_increment``);
+* every compaction / maintenance tick / clean close ratchets the
+  anchor to ``wal.durable_seq`` — the last record an fsync that has
+  *returned* covers, never ``last_seq``, which is published before its
+  fsync (monotonic — :meth:`advance` never moves backward, like
+  ``psw_increment``);
 * :meth:`~repro.storage.wal.ShardPersistence.recover` calls
   :meth:`check` with the sequence the disk image claims; a claim
   behind the anchor raises :class:`StaleImageError` and the server

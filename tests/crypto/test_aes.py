@@ -6,7 +6,13 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.aes import Aes128, aes128_ctr_decrypt, aes128_ctr_encrypt
+from repro.crypto import aes
+from repro.crypto.aes import (
+    Aes128,
+    aes128_ctr_decrypt,
+    aes128_ctr_encrypt,
+    aes128_ctr_keystreams,
+)
 
 
 class TestAesBlockVectors:
@@ -165,6 +171,72 @@ def test_ctr_is_xor_with_encrypted_counter_blocks(plaintext, key, nonce):
 def test_ctr_roundtrip_property(plaintext, key, nonce):
     ciphertext = aes128_ctr_encrypt(plaintext, key, nonce)
     assert aes128_ctr_decrypt(ciphertext, key, nonce) == plaintext
+
+
+def scalar_keystream(key, nonce, blocks):
+    """The oracle: the scalar cipher over that many zero blocks."""
+    return aes128_ctr_encrypt(bytes(16 * blocks), key, nonce)
+
+
+class TestBulkKeystream:
+    """``aes128_ctr_keystreams`` against the scalar cipher, slot for slot."""
+
+    KEY = bytes.fromhex("8e73b0f7da0e6452c810f32b809079e5")
+
+    @given(st.binary(min_size=16, max_size=16),
+           st.lists(st.tuples(st.binary(min_size=8, max_size=8),
+                              st.sampled_from((0, 0, 1, 1, 2, 9, 12, 40))),
+                    max_size=12),
+           st.sampled_from((1, 5, 16, aes.KEYSTREAM_CHUNK_BLOCKS)))
+    def test_matches_the_scalar_cipher(self, key, slots, chunk):
+        """Random keys, nonce lists and per-nonce block counts (zeros,
+        ones, mixed), with the chunk narrowed so that most requests
+        cross several chunk boundaries, some mid-slot."""
+        nonces = [nonce for nonce, _ in slots]
+        counts = [count for _, count in slots]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aes, "KEYSTREAM_CHUNK_BLOCKS", chunk)
+            streams = aes128_ctr_keystreams(key, nonces, counts)
+        assert streams == [scalar_keystream(key, nonce, count)
+                           for nonce, count in slots]
+
+    def test_crosses_the_real_chunk_boundary(self):
+        """At the shipped chunk size: the boundary falls inside the
+        second slot, and a last slot starts a chunk of its own."""
+        chunk = aes.KEYSTREAM_CHUNK_BLOCKS
+        nonces = [bytes([n]) * 8 for n in range(4)]
+        counts = [chunk - 3, 7, 0, chunk - 4]
+        streams = aes128_ctr_keystreams(self.KEY, nonces, counts)
+        assert [len(stream) for stream in streams] == [16 * n for n in counts]
+        assert streams == [scalar_keystream(self.KEY, nonce, count)
+                           for nonce, count in zip(nonces, counts)]
+
+    def test_pinned_vector_is_keystream_xor_plaintext(self):
+        """The PR 12 ciphertext, rebuilt from the bulk keystream."""
+        vectors = TestCtrPinnedVectors
+        stream, = aes128_ctr_keystreams(vectors.KEY, [vectors.NONCE], [9])
+        sealed = bytes(p ^ k for p, k in zip(vectors.plaintext(133), stream))
+        assert sealed.hex() == vectors.LONG
+
+    def test_empty_request_returns_empty(self):
+        assert aes128_ctr_keystreams(self.KEY, [], []) == []
+        assert aes128_ctr_keystreams(self.KEY, [b"n" * 8] * 3, [0] * 3) \
+            == [b"", b"", b""]
+
+    def test_same_nonce_twice_gives_the_same_stream(self):
+        """Slots are independent: each counts from zero."""
+        one, two = aes128_ctr_keystreams(self.KEY, [b"n" * 8] * 2, [3, 5])
+        assert two[:48] == one
+
+    def test_malformed_requests_rejected(self):
+        with pytest.raises(ValueError):
+            aes128_ctr_keystreams(self.KEY, [b"n" * 8], [1, 2])
+        with pytest.raises(ValueError):
+            aes128_ctr_keystreams(self.KEY, [b"short"], [1])
+        with pytest.raises(ValueError):
+            aes128_ctr_keystreams(self.KEY, [b"n" * 8], [-1])
+        with pytest.raises(ValueError):
+            aes128_ctr_keystreams(b"short", [b"n" * 8], [1])
 
 
 @given(st.binary(min_size=16, max_size=16), st.binary(min_size=16, max_size=16))

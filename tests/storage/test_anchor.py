@@ -9,6 +9,7 @@ image — including after a crash that lost the last anchor advance.
 
 import os
 import shutil
+import threading
 
 import pytest
 
@@ -171,3 +172,96 @@ class TestAnchoredRecovery:
         ledger = survivor.ledger("lic")
         outstanding = sum(ledger.outstanding.values())
         assert outstanding + ledger.lost_units + ledger.available == POOL
+
+
+class _GatedFile:
+    """A real file whose ``fsync`` parks while the gate is shut."""
+
+    def __init__(self, inner, gate, parked):
+        self._inner, self._gate, self._parked = inner, gate, parked
+
+    def fsync(self):
+        self._inner.flush()
+        if not self._gate.is_set():
+            self._parked.set()
+        assert self._gate.wait(10.0)
+        os.fsync(self._inner.fileno())
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class _RacingLog:
+    """``persistence.wal`` as the maintenance thread sees it: the first
+    read of the attribute that guards the ratchet gets its answer, and
+    ``race`` runs before the tick can act on it."""
+
+    def __init__(self, wal, race):
+        self._wal, self._race = wal, race
+
+    def __getattr__(self, name):
+        value = getattr(self._wal, name)
+        if name in ("_dirty", "durable_seq") and self._race is not None:
+            race, self._race = self._race, None
+            race()
+        return value
+
+
+class TestAnchorRatchet:
+    def test_anchor_never_passes_the_fsynced_tail(self, tmp_path):
+        """``append`` publishes ``last_seq`` before its fsync returns.
+        An append that lands in the middle of a maintenance tick must
+        not get its seq into the anchor while that fsync is still in
+        flight: a crash there would leave an anchor the surviving log
+        cannot satisfy, and recovery would refuse an honest image."""
+        gate, parked = threading.Event(), threading.Event()
+        gate.set()
+        anchor = FreshnessAnchor(str(tmp_path / "anchors" / "s.anchor"))
+        persistence = ShardPersistence(
+            str(tmp_path / "data"), name="shard-anchored",
+            server_secret=b"test-secret", fsync="always", compact_every=0,
+            opener=lambda path, mode: _GatedFile(open(path, mode), gate,
+                                                 parked),
+            anchor=anchor,
+        )
+        wal = persistence.wal
+        wal.append("grant", {"units": 1})  # seq 1, fsynced
+        appender = threading.Thread(
+            target=wal.append, args=("grant", {"units": 2}))
+        raced, ratcheted = threading.Event(), threading.Event()
+        seen = []  # (seq handed to the anchor, fsyncs returned by then)
+        advance = anchor.advance
+
+        def race():
+            gate.clear()
+            appender.start()
+            parked.wait(5.0)  # seq 2 written and published, not synced
+            raced.set()
+
+        def watched_advance(seq):
+            seen.append((seq, wal.fsync_count))
+            result = advance(seq)
+            if raced.is_set():
+                ratcheted.set()
+            return result
+
+        anchor.advance = watched_advance
+        persistence.wal = _RacingLog(wal, race)
+        persistence.attach(fresh_remote())
+        try:
+            assert ratcheted.wait(5.0)
+            assert parked.is_set()
+            assert (wal.last_seq, wal.fsync_count) == (2, 1)
+            # Under ``always`` one returned fsync covers one record.
+            assert all(seq <= fsyncs for seq, fsyncs in seen), seen
+            assert anchor.read() == 1
+            assert wal.durable_seq == 1
+        finally:
+            gate.set()
+            appender.join(timeout=5.0)
+            persistence.wal = wal
+            persistence.close()
+        assert not appender.is_alive()
+        assert wal.durable_seq == 2
+        assert anchor.read() == 2  # the clean close ratchets the rest
+

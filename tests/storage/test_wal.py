@@ -17,6 +17,11 @@ The durability contract under test:
 
 import os
 import shutil
+import struct
+import sys
+import threading
+import time
+import zlib
 
 import pytest
 
@@ -24,6 +29,7 @@ from repro.core.protocol import InitRequest, RenewRequest, ShutdownNotice, \
     Status
 from repro.core.sl_remote import SlRemote
 from repro.sgx import RemoteAttestationService, SgxMachine
+from repro.storage import wal as wal_module
 from repro.storage.wal import (
     WAL_MAGIC,
     RecoveryReport,
@@ -31,11 +37,13 @@ from repro.storage.wal import (
     WalRecord,
     WriteAheadLog,
     _seal,
+    _unseal,
     attach_persistence,
     derive_wal_key64,
     read_snapshot,
     write_snapshot,
 )
+from repro.testing.faults import FaultPlan, FaultyOpener, SimulatedCrash
 
 KEY = derive_wal_key64(b"test-secret", "shard-under-test")
 POOL = 10_000
@@ -79,6 +87,19 @@ def conserved(remote, license_id, total):
     ledger = remote.ledger(license_id)
     outstanding = sum(ledger.outstanding.values())
     return outstanding + ledger.lost_units + ledger.available == total
+
+
+def raw_frames(path):
+    """``(offset, payload)`` of every frame in a log file, by the
+    length prefixes alone (no CRC, no cipher)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    frames, offset = [], len(WAL_MAGIC)
+    while offset < len(data):
+        length, _crc = struct.unpack(">II", data[offset:offset + 8])
+        frames.append((offset, data[offset + 8:offset + 8 + length]))
+        offset += 8 + length
+    return frames
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +232,145 @@ class TestOnDiskCompatibility:
         assert remote.ledger("lic").available == POOL - 6245
         assert remote.ledger("lic-b").available == 500
         assert conserved(remote, "lic", POOL)
+
+
+class TestKeystreamPool:
+    """Appends seal from pre-drawn keystream; the bytes they write are
+    the scalar seal's, and a nonce never covers two records."""
+
+    def test_pooled_frames_unseal_under_the_scalar_cipher(self, tmp_path):
+        """Across a refill, a compaction reset and a record too long
+        for a slot: every frame opens under ``_unseal`` (the scalar
+        path) and no nonce appears twice in the log's lifetime."""
+        path = str(tmp_path / "ledger.wal")
+        wal = WriteAheadLog(path, KEY, fsync="off")
+        first = wal_module._POOL_SLOTS + 5  # the 129th append refills
+        for n in range(first):
+            wal.append("grant", {"units": n})
+        before_reset = raw_frames(path)
+        wal.reset()
+        long_field = "x" * (wal_module._POOL_BLOCKS * 16)
+        wal.append("grant", {"units": first})
+        wal.append("install_license", {"record": long_field})
+        wal.append("grant", {"units": first + 2})
+        wal.close()
+        after_reset = raw_frames(path)
+        frames = before_reset + after_reset
+        assert len(frames) == first + 3
+        records = [WalRecord.decode(_unseal(payload, KEY))
+                   for _offset, payload in frames]
+        assert [record.seq for record in records] \
+            == list(range(1, first + 4))
+        assert records[-2].fields == {"record": long_field}
+        assert len(after_reset[1][1]) > 8 + wal_module._POOL_BLOCKS * 16
+        nonces = [payload[:8] for _offset, payload in frames]
+        assert len(set(nonces)) == len(nonces)
+        # ...and the bulk reader agrees with the scalar one.
+        got, good, size = WriteAheadLog.read(path, KEY)
+        assert got == records[first:]
+        assert good == size
+
+    def test_pool_is_dropped_on_close(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path / "ledger.wal"), KEY, fsync="off")
+        wal.append("grant", {})
+        assert len(wal._pool) == wal_module._POOL_SLOTS - 1
+        wal.close()
+        assert wal._pool == []
+
+    def test_a_failed_write_still_burns_its_slot(self, tmp_path):
+        """The slot is popped before the write: when the write dies
+        (its header + nonce land torn), the retry seals under another
+        nonce and the burnt one is gone from the pool."""
+        path = str(tmp_path / "ledger.wal")
+        # Write 1 is the magic, 2 the first append, 3 dies.
+        plan = FaultPlan(crash_after_writes=3, torn_bytes=16)
+        wal = WriteAheadLog(path, KEY, fsync="off",
+                            opener=FaultyOpener(plan))
+        wal.append("grant", {"units": 1})
+        slots = len(wal._pool)
+        with pytest.raises(SimulatedCrash):
+            wal.append("grant", {"units": 2})
+        assert wal.last_seq == 1
+        assert len(wal._pool) == slots - 1
+        with open(path, "rb") as handle:
+            burnt = handle.read()[-8:]
+        assert burnt not in [nonce for nonce, _stream in wal._pool]
+        plan.crash_after_writes = None  # the disk comes back
+        wal.reset()
+        wal.append("grant", {"units": 2})
+        wal.close()
+        (_offset, payload), = raw_frames(path)
+        assert payload[:8] != burnt
+        assert WalRecord.decode(_unseal(payload, KEY)).fields == {"units": 2}
+
+    def test_concurrent_appenders_never_share_a_nonce(self, tmp_path):
+        """Eight threads, a 10 us switch interval, two seconds at most:
+        a pool slot handed to two appends would show as a repeated
+        nonce, a lost ``last_seq`` update as a gap or a duplicate."""
+        path = str(tmp_path / "ledger.wal")
+        wal = WriteAheadLog(path, KEY, fsync="off")
+        per_thread, threads_n = 150, 8
+        deadline = time.monotonic() + 2.0
+
+        def appender(worker):
+            for n in range(per_thread):
+                if time.monotonic() > deadline:
+                    return
+                wal.append("grant", {"worker": worker, "n": n})
+
+        threads = [threading.Thread(target=appender, args=(worker,))
+                   for worker in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        wal.close()
+        frames = raw_frames(path)
+        assert len(frames) == wal.append_count > wal_module._POOL_SLOTS
+        nonces = [payload[:8] for _offset, payload in frames]
+        assert len(set(nonces)) == len(nonces)
+        records, good, size = WriteAheadLog.read(path, KEY)
+        assert good == size
+        assert [record.seq for record in records] \
+            == list(range(1, len(frames) + 1))
+        for worker in range(threads_n):
+            mine = [record.fields["n"] for record in records
+                    if record.fields["worker"] == worker]
+            assert mine == list(range(len(mine)))
+
+
+class TestBulkRead:
+    N = 5
+
+    @pytest.mark.parametrize("k", range(N))
+    def test_tampered_frame_k_keeps_exactly_the_first_k(self, tmp_path, k):
+        """Flip one ciphertext byte of frame ``k`` and repair its CRC,
+        so only the seal can tell: the reader returns records 0..k-1
+        and points ``good_offset`` at frame ``k``, though the frames
+        behind it are intact."""
+        path = str(tmp_path / "ledger.wal")
+        wal = WriteAheadLog(path, KEY, fsync="off")
+        for n in range(self.N):
+            wal.append("grant", {"units": n})
+        wal.close()
+        offset, payload = raw_frames(path)[k]
+        tampered = bytearray(payload)
+        tampered[8 + (k * 7) % (len(payload) - 8)] ^= 0x01
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            handle.write(struct.pack(">II", len(tampered),
+                                     zlib.crc32(tampered)) + tampered)
+        records, good, size = WriteAheadLog.read(path, KEY)
+        assert [record.fields["units"] for record in records] \
+            == list(range(k))
+        assert good == offset
+        assert size == os.path.getsize(path)
 
 
 class TestFsyncPolicies:
@@ -523,14 +683,7 @@ def _committed_wal(tmp_path):
     persistence.close()
     records, size, file_size = WriteAheadLog.read(path, KEY)
     assert size == file_size  # clean shutdown: no torn tail yet
-    # Where does the last record start?  Re-scan stopping one short.
-    prev_offset = len(WAL_MAGIC)
-    import struct as _struct
-    with open(path, "rb") as handle:
-        data = handle.read()
-    for _ in range(len(records) - 1):
-        length = _struct.unpack(">II", data[prev_offset:prev_offset + 8])[0]
-        prev_offset += 8 + length
+    prev_offset, _payload = raw_frames(path)[-1]
     return path, prev_offset, file_size, records
 
 
