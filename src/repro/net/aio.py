@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import itertools
 import selectors
 import socket as _socket
 import threading
@@ -71,6 +72,7 @@ from repro.net.transport import (
     RenewCoalescer,
     RTT_EWMA_ALPHA,
     Transport,
+    request_frame,
 )
 from repro.net.network import NetworkConditions
 from repro.sgx.driver import SgxStats, ThreadSafeSgxStats
@@ -331,7 +333,7 @@ class AsyncLeaseServer:
                 self.wire_stats.note_rejected()
                 with self._counters_lock:
                     self.errors_returned += 1
-                self._write(conn, codec.encode_error(
+                self._write(conn, codec.frame_error(
                     f"{type(exc).__name__}: {exc}", 0))
                 continue
             if method == "renew_batch" and hasattr(payload, "requests"):
@@ -357,21 +359,20 @@ class AsyncLeaseServer:
                 request_id: int, corr: Optional[Any]) -> None:
         meta = {codec.CORRELATION_KEY: corr} if corr is not None else None
         try:
-            reply = codec.encode_response(self.handlers.dispatch(
+            framed = codec.frame_response(self.handlers.dispatch(
                 method, payload, clock=self.clock, stats=self.stats
             ), request_id, meta=meta)
         except Exception as exc:  # noqa: BLE001 - every fault becomes a wire error
             with self._counters_lock:
                 self.errors_returned += 1
-            reply = codec.encode_error(
+            framed = codec.frame_error(
                 f"{type(exc).__name__}: {exc}", request_id, meta=meta)
         else:
             with self._counters_lock:
                 self.requests_served += 1
-        self._write(conn, reply)
+        self._write(conn, framed)
 
-    def _write(self, conn: _Connection, reply: bytes) -> None:
-        framed = codec.frame(reply)
+    def _write(self, conn: _Connection, framed: bytearray) -> None:
         self.wire_stats.note_encoded(len(framed))
         with conn.write_lock:
             try:
@@ -458,7 +459,8 @@ class AsyncTcpTransport(Transport):
         self._conn_lock: Optional[asyncio.Lock] = None
         #: corr -> future, loop-confined.
         self._pending: Dict[int, asyncio.Future] = {}
-        self._next_corr = 1
+        #: Drawn by caller threads (``next`` on a count is atomic).
+        self._corrs = itertools.count(1)
         self._ever_connected = False
         self._counters_lock = threading.Lock()
         self.messages_sent = 0
@@ -527,6 +529,9 @@ class AsyncTcpTransport(Transport):
         loop = self._ensure_loop()
         last_error: Optional[Exception] = None
         for attempt in range(1, self.max_attempts + 1):
+            corr = next(self._corrs)
+            frame = request_frame(method, payload, corr,
+                                  {codec.CORRELATION_KEY: corr})
             # Virtual accounting first: a lost/timed-out request is
             # detected a full RTT later, same as SimulatedLink.
             if charge_rtt or attempt > 1:
@@ -536,7 +541,7 @@ class AsyncTcpTransport(Transport):
             with self._counters_lock:
                 self.messages_sent += 1
             future = asyncio.run_coroutine_threadsafe(
-                self._round_trip(method, payload), loop
+                self._round_trip(corr, frame), loop
             )
             started = time.monotonic()
             try:
@@ -611,15 +616,10 @@ class AsyncTcpTransport(Transport):
         return self._loop
 
     # -- loop-confined internals ---------------------------------------
-    async def _round_trip(self, method: str, payload: object):
+    async def _round_trip(self, corr: int, frame: bytearray):
         reader, writer = await self._ensure_connection()
-        corr = self._next_corr
-        self._next_corr += 1
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[corr] = future
-        frame = codec.frame(codec.encode_request(
-            method, payload, corr, meta={codec.CORRELATION_KEY: corr},
-        ))
         try:
             try:
                 writer.write(frame)

@@ -3,72 +3,66 @@
 Everything SL-Local and SL-Remote say to each other can be flattened to
 bytes and rebuilt on the far side.  There is **one** format: a
 length-prefixed binary frame holding a struct-packed envelope header, a
-CRC-32 over everything after it, raw byte strings, and per-dataclass
-field tables so a ``RenewRequest`` travels as packed values, not
-repeated key strings.  Every frame a peer accepts has passed the
-checksum; nothing is negotiated and nothing is sniffed.
+CRC-32 over everything after it, and tagged values — raw byte strings,
+and per-dataclass field tables so a ``RenewRequest`` travels as packed
+values, not repeated key strings.  Nothing is negotiated or sniffed.
 
-The codec is deliberately strict:
+Each registered message is **compiled** — all of them, the first time
+one is used — into a straight-line writer and reader generated from its
+dataclass declaration (:func:`message_layout`).  A value that is not of its
+field's annotated type — and every plain tuple, dict and list — takes
+the one general tagged path (:func:`_write` / :func:`_read`), so the
+bytes emitted and accepted do not depend on which path ran.
 
-* a frame must open with :data:`V3_MAGIC` and carry a matching CRC-32,
-  so a flipped or missing byte raises :class:`CodecError` instead of
-  mis-parsing — and can never steer a peer onto a weaker format,
-  because there is none;
-* only registered message types decode (no pickle, no arbitrary code) —
-  the untrusted network may corrupt a lease request but cannot smuggle
-  objects into the enclave simulation;
-* a message's field count must equal this side's field table, every
-  read is bounds-checked, nesting is depth-limited, and trailing bytes
-  are rejected.
+The codec is deliberately strict: a frame must open with
+:data:`V3_MAGIC` and carry a matching CRC-32, so a flipped or missing
+byte raises :class:`CodecError` instead of mis-parsing; only registered
+message types decode (no pickle, no arbitrary code); a message's field
+count must equal this side's field table, every read is bounds-checked,
+nesting is depth-limited, and trailing bytes, a map that repeats a key
+and an integer of no bytes — which no encoder emits — are rejected.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
+import functools
+import itertools
 import struct
+import threading
 import zlib
-from typing import Any, Dict, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.gcl import LeaseKind
 from repro.core.protocol import (
-    AttestRequest,
-    AttestResponse,
-    BatchRequest,
-    BatchResponse,
-    InitRequest,
-    InitResponse,
-    MigratingNotice,
-    RenewRequest,
-    RenewResponse,
-    ShutdownNotice,
-    Status,
+    AttestRequest, AttestResponse, BatchRequest, BatchResponse, InitRequest,
+    InitResponse, MigratingNotice, RenewRequest, RenewResponse,
+    ShutdownNotice, Status,
 )
 from repro.core.tokens import ExecutionToken
 from repro.crypto.sealing import SealedBlob
 from repro.sgx.attestation import AttestationReport
 
-#: The wire revision: the only legal value of the ``version`` keyword
-#: the ``encode_*`` functions keep for their callers.
+#: The wire revision: the one legal ``version`` of the ``encode_*`` functions.
 WIRE_V3 = 3
 
 #: Names a caller may not use as envelope metadata keys.
 RESERVED_ENVELOPE_KEYS = frozenset({"v", "kind", "id", "method", "body", "error"})
 
-#: Metadata key carrying a pipelining correlation id.  A client that
-#: keeps several requests in flight on one connection tags each request
-#: ``{CORRELATION_KEY: n}``; a pipelining-aware server echoes the tag on
-#: the matching response, which may arrive out of order.  An untagged
-#: request is answered in strict order: responses match requests by
-#: position.
+#: Metadata key of a pipelining correlation id.  A client with several
+#: requests in flight tags each ``{CORRELATION_KEY: n}``; the server echoes it
+#: on the matching response, in any order.  Untagged: answered in order.
 CORRELATION_KEY = "corr"
 
 #: Frame header for stream transports: 4-byte big-endian payload length.
 FRAME_HEADER = struct.Struct(">I")
 
-#: Refuse frames above this size (a corrupt length prefix must not make
-#: the server allocate gigabytes).
+#: Refuse larger frames: a corrupt length prefix must not allocate gigabytes.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+Meta = Optional[Dict[str, Any]]
+Writer = Callable[[bytearray, Any], None]
+Reader = Callable[[bytes, int, int], Tuple[Any, int]]
 
 
 class CodecError(Exception):
@@ -80,113 +74,405 @@ class RemoteCallError(Exception):
 
 
 #: Message types allowed on the wire, keyed by their envelope tag.
-MESSAGE_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        InitRequest,
-        InitResponse,
-        RenewRequest,
-        RenewResponse,
-        BatchRequest,
-        BatchResponse,
-        ShutdownNotice,
-        MigratingNotice,
-        AttestRequest,
-        AttestResponse,
-        ExecutionToken,
-        SealedBlob,
-        AttestationReport,
-    )
-}
-
-
-def register_message_type(cls) -> None:
-    """Allow an additional dataclass message on the wire.
-
-    Used by higher layers (e.g. :mod:`repro.net.replication`) that
-    define fleet-internal message types without this module importing
-    them — the registry stays explicit either way: only registered
-    classes ever decode, and re-registering a different class under a
-    taken name is rejected.
-    """
-    name = cls.__name__
-    if not dataclasses.is_dataclass(cls):
-        raise CodecError(f"{name} is not a dataclass")
-    existing = MESSAGE_TYPES.get(name)
-    if existing is not None and existing is not cls:
-        raise CodecError(f"message type {name!r} already registered")
-    MESSAGE_TYPES[name] = cls
-
+MESSAGE_TYPES = {cls.__name__: cls for cls in (
+    InitRequest, InitResponse, RenewRequest, RenewResponse, BatchRequest,
+    BatchResponse, ShutdownNotice, MigratingNotice, AttestRequest,
+    AttestResponse, ExecutionToken, SealedBlob, AttestationReport)}
 
 #: Enum types allowed on the wire (encoded by value).
 ENUM_TYPES = {cls.__name__: cls for cls in (Status, LeaseKind)}
 
 
+def register_message_type(cls) -> None:
+    """Allow an additional dataclass message on the wire, for layers (e.g.
+    :mod:`repro.net.replication`) this module does not import.  Only
+    registered classes decode; a second class under a taken name is rejected."""
+    name = cls.__name__
+    if not dataclasses.is_dataclass(cls):
+        raise CodecError(f"{name} is not a dataclass")
+    if MESSAGE_TYPES.setdefault(name, cls) is not cls:
+        raise CodecError(f"message type {name!r} already registered")
+
+
 # ----------------------------------------------------------------------
-# Envelopes
+# Tagged values: the one general path under every message and envelope
 # ----------------------------------------------------------------------
-def _check_version(version: int) -> None:
+_T_NONE, _T_FALSE, _T_TRUE = 0x00, 0x01, 0x02
+_T_INT, _T_FLOAT, _T_STR, _T_BYTES = 0x03, 0x04, 0x05, 0x06
+_T_LIST, _T_TUPLE, _T_MAP = 0x07, 0x08, 0x09
+_T_ENUM, _T_MSG = 0x0A, 0x0B
+
+# A tag and the scalar or length behind it, packed and unpacked as one.
+_TAG_U16 = struct.Struct(">BH")
+_TAG_U32 = struct.Struct(">BI")
+_TAG_F64 = struct.Struct(">Bd")
+_EMPTY_MAP = _TAG_U32.pack(_T_MAP, 0)
+#: What most int fields hold (counters, small ids), already encoded.
+_SMALL_INTS = tuple(_TAG_U16.pack(_T_INT, 1) + bytes([value])
+                    for value in range(128))
+_TRUNCATED = "truncated v3 frame: a value runs past its end"
+_TOO_DEEP = "v3 payload nests too deeply"
+
+
+def _write(buf: bytearray, obj: Any) -> None:
+    """Append ``obj``: one dict lookup on its exact type, no ladder."""
+    (_WRITERS.get(type(obj)) or _writer_for(type(obj)))(buf, obj)
+
+
+def _write_int(buf: bytearray, value: int) -> None:
+    if 0 <= value < 128:
+        buf += _SMALL_INTS[value]
+        return
+    length = (value.bit_length() + 8) >> 3
+    if length > 0xFFFF:
+        raise CodecError(f"integer of {length} bytes is not wire-encodable")
+    buf += _TAG_U16.pack(_T_INT, length)
+    buf += value.to_bytes(length, "big", signed=True)
+
+
+def _write_str(buf: bytearray, text: str) -> None:
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise CodecError(f"string is not wire-encodable: {exc}") from exc
+    buf += _TAG_U32.pack(_T_STR, len(raw))
+    buf += raw
+
+
+def _write_bytes(buf: bytearray, raw: bytes) -> None:
+    buf += _TAG_U32.pack(_T_BYTES, len(raw))
+    buf += raw
+
+
+def _write_items(tag: int, each=iter) -> Writer:
+    def write_items(buf: bytearray, items) -> None:
+        buf += _TAG_U32.pack(tag, len(items))
+        for item in each(items):
+            (_WRITERS.get(type(item)) or _writer_for(type(item)))(buf, item)
+    return write_items
+
+
+_WRITERS: Dict[type, Writer] = {
+    type(None): lambda buf, _none: buf.append(_T_NONE),
+    bool: lambda buf, flag: buf.append(_T_TRUE if flag else _T_FALSE),
+    int: _write_int,
+    float: lambda buf, value: buf.extend(_TAG_F64.pack(_T_FLOAT, value)),
+    str: _write_str,
+    bytes: _write_bytes,
+    list: _write_items(_T_LIST),
+    tuple: _write_items(_T_TUPLE),
+    dict: _write_items(_T_MAP, lambda mapping: itertools.chain.from_iterable(
+        mapping.items())),  # key, value, key, value, ...
+}
+
+
+def _writer_for(cls: type) -> Writer:
+    """The writer for a type met for the first time, remembered: a plain
+    type's subclass travels as that type (an ``IntEnum`` as an int), a
+    registered message through its compiled writer; nothing else encodes."""
+    name = cls.__name__
+    for base in (int, float, str, bytes, list, tuple, dict):
+        if issubclass(cls, base):
+            _WRITERS[cls] = _WRITERS[base]
+            return _WRITERS[cls]
+    if MESSAGE_TYPES.get(name) is not cls:
+        raise CodecError(f"object of type {name} is not wire-encodable")
+    return _install(cls)[0]
+
+
+def encode_value(obj: Any) -> bytes:
+    """Serialize one value with the tagged encoding v3 envelopes use inside:
+    registered messages, enums, containers and scalars all round-trip.  The
+    WAL-shipped replication bootstrap frames its records with it too."""
+    buf = bytearray()
+    _write(buf, obj)
+    return bytes(buf)
+
+
+def decode_value(data: bytes) -> Any:
+    """Inverse of :func:`encode_value`; rejects trailing bytes."""
+    value, end = _read(data, 0, 0)
+    if end != len(data):
+        raise CodecError(f"value has {len(data) - end} trailing bytes")
+    return value
+
+
+#: Wire enum member -> its bytes, computed once; written by one lookup.
+_ENUM_WIRE = {member: bytes([_T_ENUM]) + encode_value(name)[1:]
+              + encode_value(member.value)
+              for name, cls in ENUM_TYPES.items() for member in cls}
+_WRITERS.update(dict.fromkeys(
+    ENUM_TYPES.values(), lambda buf, member: buf.extend(_ENUM_WIRE[member])))
+#: Raw enum name -> {value: member}: a dict lookup, not ``Enum.__call__``.
+_ENUM_MEMBERS = {name.encode("utf-8"): {member.value: member for member in cls}
+                 for name, cls in ENUM_TYPES.items()}
+
+#: Raw message name -> compiled reader (filled by :func:`_install`).
+_READERS: Dict[bytes, Reader] = {}
+_COMPILING = threading.Lock()
+
+
+def _read(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    """The tagged value at ``pos``, as ``(value, next pos)``.  Reading past
+    the end — here or in a compiled reader — leaves as :class:`CodecError`;
+    a slice, which would come back short in silence, is bounds-checked."""
+    try:
+        if depth > 64:
+            raise CodecError(_TOO_DEEP)
+        tag = data[pos]
+        if tag == _T_INT:
+            _, length = _TAG_U16.unpack_from(data, pos)
+            end = pos + 3 + length
+            if not length or end > len(data):
+                raise CodecError(_TRUNCATED if length else "v3 integer of no bytes")
+            return int.from_bytes(data[pos + 3:end], "big", signed=True), end
+        if tag == _T_FLOAT:
+            return _TAG_F64.unpack_from(data, pos)[1], pos + 9
+        if tag in (_T_STR, _T_BYTES, _T_MSG, _T_ENUM):
+            _, length = _TAG_U32.unpack_from(data, pos)
+            end = pos + 5 + length
+            if end > len(data):
+                raise CodecError(_TRUNCATED)
+            raw = data[pos + 5:end]
+            if tag == _T_STR:
+                return raw.decode("utf-8"), end
+            if tag == _T_BYTES:
+                return raw, end
+            if tag == _T_MSG:
+                try:
+                    return (_READERS.get(raw) or _reader_for(raw))(data, end, depth)
+                except (TypeError, ValueError) as exc:  # the constructor's refusal
+                    raise CodecError(f"bad {raw!r} fields: {exc}") from exc
+            value, end = _read(data, end, depth + 1)
+            try:
+                return _ENUM_MEMBERS[raw][value], end
+            except (KeyError, TypeError):  # no such enum, or no such member
+                raise CodecError(f"bad enum {raw!r} value {value!r}") from None
+        if tag <= _T_TRUE:
+            return (None, False, True)[tag], pos + 1
+        if tag > _T_MAP:
+            raise CodecError(f"unknown v3 value tag {tag:#x}")
+        _, count = _TAG_U32.unpack_from(data, pos)
+        pos += 5
+        items = []
+        for _ in range(2 * count if tag == _T_MAP else count):
+            item, pos = _read(data, pos, depth + 1)
+            items.append(item)
+        if tag != _T_MAP:
+            return (tuple(items) if tag == _T_TUPLE else items), pos
+        try:
+            mapping = dict(zip(items[::2], items[1::2]))
+        except TypeError:
+            raise CodecError("unhashable map key") from None
+        if len(mapping) != count:
+            raise CodecError("v3 map repeats a key")
+        return mapping, pos
+    except (IndexError, struct.error):
+        raise CodecError(_TRUNCATED) from None
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"undecodable v3 string: {exc}") from exc
+
+
+def _reader_for(raw: bytes) -> Reader:
+    name = raw.decode("utf-8")
+    if name not in MESSAGE_TYPES:
+        raise CodecError(f"unknown message type {name!r}")
+    return _install(MESSAGE_TYPES[name])[1]
+
+
+# ----------------------------------------------------------------------
+# Compiled messages: one writer and one reader per dataclass
+# ----------------------------------------------------------------------
+def message_layout(cls) -> List[Tuple[str, str, int]]:
+    """``(field, annotation, run)`` per field, in wire order.
+
+    Consecutive ``float`` fields form a fixed-width run, numbered from 1,
+    that one ``struct.Struct`` packs and unpacks whole; ``run`` is 0 outside
+    any.  Every other field — and a run holding anything but floats — goes
+    value by value down the tagged path."""
+    layout, run = [], 0
+    for spec in dataclasses.fields(cls):
+        kind = getattr(spec.type, "__name__", spec.type)  # a str names itself
+        if kind == "float" and not (layout and layout[-1][2]):
+            run += 1
+        layout.append((spec.name, kind, run if kind == "float" else 0))
+    return layout
+
+
+def compile_message(cls) -> Tuple[Writer, Reader]:
+    """Generate ``write(buf, obj)`` and ``read(data, pos, depth)`` — from
+    just past the name, giving ``(obj, pos)`` — from ``cls``'s declaration.
+    A pure function of the dataclass (registration is checked where values
+    meet the wire), so a test can speak as a peer from another source tree."""
+    name, layout = cls.__name__, message_layout(cls)
+    raw = name.encode("utf-8")
+    scope = {
+        "CLS": cls, "CodecError": CodecError, "read": _read,
+        "writer": _WRITERS.get, "writer_for": _writer_for,
+        "HEADER": _TAG_U32.pack(_T_MSG, len(raw)) + raw + bytes([len(layout)]),
+        "MISMATCH": f"field table mismatch for {name}: frame has %d fields, "
+                    f"this side expects {len(layout)}",
+    }
+    out = ["def write_message(buf, obj):", " buf += HEADER"]
+    inp = ["def read_message(data, pos, depth):",
+           f" if data[pos] != {len(layout)}:"
+           " raise CodecError(MISMATCH % data[pos])",
+           f" if depth >= 64 and {bool(layout)}: raise CodecError({_TOO_DEEP!r})",
+           " pos += 1; depth += 1"]
+    for run, group in itertools.groupby(enumerate(layout), lambda e: e[1][2]):
+        group = list(group)
+        values = [f"f{index}" for index, _ in group]
+        attrs = [f"obj.{field}" for _, (field, _, _) in group]
+        indent = " "
+        if run:  # all floats: one Struct; else each value for itself
+            width, indent = 9 * len(group), "  "
+            scope[f"RUN{run}"] = struct.Struct(">" + "Bd" * len(group))
+            packed = ", ".join(f"{_T_FLOAT}, {attr}" for attr in attrs)
+            out += [f" if {' is '.join(f'type({a})' for a in attrs)} is float:",
+                    f"  buf += RUN{run}.pack({packed})", " else:"]
+            inp += [f" if data[pos:pos + {width}:9] == "
+                    f"{bytes([_T_FLOAT]) * len(group)!r}:",
+                    f"  {', '.join(f'_, {v}' for v in values)} = "
+                    f"RUN{run}.unpack_from(data, pos); pos += {width}", " else:"]
+        out += [f"{indent}v = {attr}; "  # _write, without the call
+                "(writer(type(v)) or writer_for(type(v)))(buf, v)"
+                for attr in attrs]
+        inp += [f"{indent}{v}, pos = read(data, pos, depth)" for v in values]
+    inp.append(f" return CLS({', '.join(f'f{i}' for i in range(len(layout)))}), pos")
+    for source in (out, inp):  # apart: the parser's peak grows with length
+        exec("\n".join(source), scope)  # noqa: S102 - source built above
+    return scope["write_message"], scope["read_message"]
+
+
+def _install(cls) -> Tuple[Writer, Reader]:
+    """Compile every registered class the first time one is needed: one
+    thread's allocator — not each worker's — grows by the parser's peak."""
+    with _COMPILING:
+        for name, each in tuple(MESSAGE_TYPES.items()):
+            if each not in _WRITERS:
+                pair = compile_message(each)
+                _WRITERS[each], _READERS[name.encode("utf-8")] = pair
+    return _WRITERS[cls], _READERS[cls.__name__.encode("utf-8")]
+
+
+# ----------------------------------------------------------------------
+# Envelopes: magic, CRC-32, kind, request id, metadata, then values
+# ----------------------------------------------------------------------
+#: First byte of every frame; anything else is rejected before the CRC.
+V3_MAGIC = 0xB3
+
+#: Fixed envelope prefix: magic byte + CRC-32 of everything after it,
+#: so a flipped byte or a cut tail is a typed :class:`CodecError` before
+#: field decoding starts, never a mis-parsed value.
+_V3_PREFIX = struct.Struct(">BI")
+#: The prefix, then inside the CRC region: kind code + request id.
+_V3_HEAD = struct.Struct(">BIBQ")
+
+_REQUEST, _RESPONSE, _ERROR = 0, 1, 2  # envelope kind codes
+
+
+@functools.lru_cache(maxsize=128, typed=True)
+def _method_wire(method: Any) -> bytes:
+    return encode_value(method)
+
+
+def _envelope(lead: int, kind: int, method: Any, body: Any,
+              request_id: int = 0, version: int = WIRE_V3, meta: Meta = None):
+    """One envelope built in one buffer: ``bytes`` when bare (``lead``
+    0), or behind its ``lead`` = 4-byte :data:`FRAME_HEADER`, a
+    ``bytearray`` ready to send."""
     if version != WIRE_V3:
+        raise CodecError(f"cannot emit wire version {version!r}; the only "
+                         f"wire is v{WIRE_V3}")
+    if meta and not RESERVED_ENVELOPE_KEYS.isdisjoint(meta):
+        raise CodecError("metadata may not override reserved envelope keys: "
+                         f"{sorted(RESERVED_ENVELOPE_KEYS.intersection(meta))}")
+    buf = bytearray(lead)
+    try:
+        buf += _V3_HEAD.pack(V3_MAGIC, 0, kind, request_id)
+    except struct.error as exc:
+        raise CodecError(f"bad v3 request id {request_id!r}: {exc}") from exc
+    if meta:
+        _WRITERS[dict](buf, meta)
+    else:
+        buf += _EMPTY_MAP
+    if kind == _REQUEST:
+        buf += _method_wire(method)
+    (_WRITERS.get(type(body)) or _writer_for(type(body)))(buf, body)
+    size = len(buf) - lead
+    FRAME_HEADER.pack_into(  # the CRC's slot in the prefix is a u32 too
+        buf, lead + 1, zlib.crc32(memoryview(buf)[lead + _V3_PREFIX.size:]))
+    if not lead:
+        return bytes(buf)
+    if size > MAX_FRAME_BYTES:
+        raise CodecError(f"frame of {size} bytes exceeds {MAX_FRAME_BYTES}")
+    FRAME_HEADER.pack_into(buf, 0, size)
+    return buf
+
+
+def _open_envelope(data: bytes) -> Tuple[int, int, Dict[str, Any], Any, Any]:
+    """Returns ``(kind code, request_id, meta, method, body)``; an error
+    envelope's message is its ``body``."""
+    if len(data) < _V3_HEAD.size:
+        raise CodecError(f"truncated v3 frame: {len(data)} bytes")
+    magic, crc, kind, request_id = _V3_HEAD.unpack_from(data, 0)
+    if magic != V3_MAGIC:
         raise CodecError(
-            f"cannot emit wire version {version!r}; the only wire is "
-            f"v{WIRE_V3}"
-        )
+            f"not a v3 frame: leading byte {magic:#04x}, want {V3_MAGIC:#04x}")
+    if zlib.crc32(memoryview(data)[_V3_PREFIX.size:]) != crc:
+        raise CodecError("v3 frame checksum mismatch (corrupt or truncated)")
+    if kind > _ERROR:
+        raise CodecError(f"unknown v3 envelope kind {kind:#x}")
+    meta, pos = {}, _V3_HEAD.size + len(_EMPTY_MAP)
+    if not data.startswith(_EMPTY_MAP, _V3_HEAD.size):
+        meta, pos = _read(data, _V3_HEAD.size, 0)
+    method = None
+    if kind == _REQUEST:
+        method, pos = _read(data, pos, 0)
+    body, pos = _read(data, pos, 0)
+    if not isinstance(meta, dict):
+        raise CodecError("v3 envelope metadata must be a map")
+    if kind == _REQUEST and not isinstance(method, str):
+        raise CodecError("request envelope missing method")
+    if kind == _ERROR and not isinstance(body, str):
+        raise CodecError("v3 error envelope missing message")
+    if pos != len(data):
+        raise CodecError(f"v3 frame has {len(data) - pos} trailing bytes")
+    return kind, request_id, meta, method, body
 
 
-def encode_request(method: str, payload: Any, request_id: int = 0,
-                   version: int = WIRE_V3,
-                   meta: Optional[Dict[str, Any]] = None) -> bytes:
-    """A request envelope carrying one protocol message.
-
-    ``meta`` attaches routing metadata (e.g. ``{"shard": "shard-2"}``
-    or a pipelining ``{CORRELATION_KEY: n}``) that decoders ignore
-    unless they route on it.
-    """
-    _check_version(version)
-    return _encode_v3("request", request_id, meta, method=method, body=payload)
+#: The six encoders, bare (``bytes``) and framed — ``frame(encode_*(...))``
+#: built in one buffer, ready to send.  Requests take ``(method, payload,
+#: request_id=0, version=WIRE_V3, meta=None)``; replies the same without
+#: ``method``, ``payload`` being the message for ``*_error``.  ``meta`` is
+#: routing metadata (a shard, a corr id) decoders ignore unless they use it.
+encode_request = functools.partial(_envelope, 0, _REQUEST)
+encode_response = functools.partial(_envelope, 0, _RESPONSE, None)
+encode_error = functools.partial(_envelope, 0, _ERROR, None)
+frame_request = functools.partial(_envelope, 4, _REQUEST)
+frame_response = functools.partial(_envelope, 4, _RESPONSE, None)
+frame_error = functools.partial(_envelope, 4, _ERROR, None)
 
 
 def decode_request(data: bytes) -> Tuple[str, Any, int]:
     """Returns ``(method, payload, request_id)``."""
-    method, payload, request_id, _meta = decode_request_envelope(data)
-    return method, payload, request_id
+    return decode_request_envelope(data)[:3]
 
 
 def decode_request_envelope(data: bytes) -> Tuple[str, Any, int, Dict[str, Any]]:
-    """Returns ``(method, payload, request_id, meta)``.
-
-    ``meta`` is the envelope's free-form metadata — without a
-    correlation tag in it, a pipelining server answers the client in
-    strict request order.
-    """
-    kind, request_id, meta, method, body, _error = _decode_v3(data)
-    if kind != "request":
-        raise CodecError(f"expected a request, got {kind!r}")
+    """Returns ``(method, payload, request_id, meta)``; without a corr
+    tag in ``meta`` a pipelining server answers in strict request order."""
+    kind, request_id, meta, method, body = _open_envelope(data)
+    if kind != _REQUEST:
+        raise CodecError("expected a request, got a reply")
     return method, body, request_id, meta
 
 
-def encode_response(payload: Any, request_id: int = 0,
-                    version: int = WIRE_V3,
-                    meta: Optional[Dict[str, Any]] = None) -> bytes:
-    _check_version(version)
-    return _encode_v3("response", request_id, meta, body=payload)
-
-
-def encode_error(message: str, request_id: int = 0,
-                 version: int = WIRE_V3,
-                 meta: Optional[Dict[str, Any]] = None) -> bytes:
-    _check_version(version)
-    return _encode_v3("error", request_id, meta, error=message)
-
-
 class WireReply(NamedTuple):
-    """A decoded response/error envelope, metadata included.
-
-    Pipelining clients need the *routing* fields (``request_id``,
-    ``meta``'s correlation id) before they know which caller an error
-    belongs to, so this form defers raising; :meth:`deliver` converts to
-    the classic payload-or-raise contract in the right caller.
-    """
+    """A decoded response/error envelope, metadata included.  Pipelining
+    clients need the *routing* fields (``request_id``, ``meta``'s corr
+    id) before they know whose error this is, so raising is deferred to
+    :meth:`deliver`, in the right caller."""
 
     kind: str  # "response" | "error"
     payload: Any  # decoded body (None for errors)
@@ -202,305 +488,19 @@ class WireReply(NamedTuple):
 
 def decode_reply(data: bytes) -> WireReply:
     """Decode a response **or** error envelope without raising on errors."""
-    kind, request_id, meta, _method, body, error = _decode_v3(data)
-    if kind == "error":
-        return WireReply(kind="error", payload=None,
-                         error=error or "unspecified remote error",
-                         request_id=request_id, meta=meta)
-    if kind != "response":
-        raise CodecError(f"expected a response, got {kind!r}")
-    return WireReply(kind="response", payload=body, error=None,
-                     request_id=request_id, meta=meta)
+    kind, request_id, meta, _method, body = _open_envelope(data)
+    if kind == _RESPONSE:
+        return WireReply("response", body, None, request_id, meta)
+    if kind != _ERROR:
+        raise CodecError("expected a response, got a request")
+    return WireReply("error", None, body or "unspecified remote error",
+                     request_id, meta)
 
 
 def decode_response(data: bytes) -> Any:
-    """Returns the response payload; raises :class:`RemoteCallError` for
-    error envelopes (the server-side exception, stringified)."""
+    """The response payload, or :class:`RemoteCallError` for an error
+    envelope (the server-side exception, stringified)."""
     return decode_reply(data).deliver()
-
-
-# ----------------------------------------------------------------------
-# The binary format: struct-packed envelopes with field-table payloads
-# ----------------------------------------------------------------------
-#: First byte of every frame; anything else is rejected before the CRC
-#: is even computed.
-V3_MAGIC = 0xB3
-
-#: Fixed envelope prefix: magic byte + CRC-32 of everything after it.
-#: The CRC is what turns "corrupt frame" into a typed :class:`CodecError`
-#: instead of a silently mis-parsed value — any single flipped byte or
-#: truncated tail fails the checksum before field decoding even starts.
-_V3_PREFIX = struct.Struct(">BI")
-
-#: Envelope body prefix inside the CRC region: kind code + request id.
-_V3_BODY = struct.Struct(">BQ")
-
-_V3_KIND_CODES = {"request": 0, "response": 1, "error": 2}
-_V3_KIND_NAMES = {code: kind for kind, code in _V3_KIND_CODES.items()}
-
-# Value tags for the recursive binary payload encoding.
-_T_NONE, _T_FALSE, _T_TRUE = 0x00, 0x01, 0x02
-_T_INT, _T_FLOAT, _T_STR, _T_BYTES = 0x03, 0x04, 0x05, 0x06
-_T_LIST, _T_TUPLE, _T_MAP = 0x07, 0x08, 0x09
-_T_ENUM, _T_MSG = 0x0A, 0x0B
-
-_U8 = struct.Struct(">B")
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_F64 = struct.Struct(">d")
-
-#: Message name -> ordered field names.  Both sides derive the same
-#: column order from the dataclass definition, so only *values* travel.
-_FIELD_TABLES: Dict[str, Tuple[str, ...]] = {}
-
-
-def _field_table(cls) -> Tuple[str, ...]:
-    table = _FIELD_TABLES.get(cls.__name__)
-    if table is None:
-        table = tuple(f.name for f in dataclasses.fields(cls))
-        _FIELD_TABLES[cls.__name__] = table
-    return table
-
-
-def _write_str(buf: bytearray, text: str) -> None:
-    raw = text.encode("utf-8")
-    buf += _U32.pack(len(raw))
-    buf += raw
-
-
-def _write_value(buf: bytearray, obj: Any) -> None:
-    if obj is None:
-        buf.append(_T_NONE)
-    elif obj is True:
-        buf.append(_T_TRUE)
-    elif obj is False:
-        buf.append(_T_FALSE)
-    elif isinstance(obj, int) and not isinstance(obj, bool):
-        length = (obj.bit_length() + 8) // 8 or 1
-        if length > 0xFFFF:
-            raise CodecError(f"integer of {length} bytes is not wire-encodable")
-        buf.append(_T_INT)
-        buf += _U16.pack(length)
-        buf += obj.to_bytes(length, "big", signed=True)
-    elif isinstance(obj, float):
-        buf.append(_T_FLOAT)
-        buf += _F64.pack(obj)
-    elif isinstance(obj, str):
-        buf.append(_T_STR)
-        _write_str(buf, obj)
-    elif isinstance(obj, bytes):
-        buf.append(_T_BYTES)
-        buf += _U32.pack(len(obj))
-        buf += obj
-    elif isinstance(obj, (list, tuple)):
-        buf.append(_T_TUPLE if isinstance(obj, tuple) else _T_LIST)
-        buf += _U32.pack(len(obj))
-        for item in obj:
-            _write_value(buf, item)
-    elif isinstance(obj, dict):
-        buf.append(_T_MAP)
-        buf += _U32.pack(len(obj))
-        for key, value in obj.items():
-            _write_value(buf, key)
-            _write_value(buf, value)
-    elif isinstance(obj, enum.Enum):
-        name = type(obj).__name__
-        if name not in ENUM_TYPES:
-            raise CodecError(f"enum {name} is not wire-encodable")
-        buf.append(_T_ENUM)
-        _write_str(buf, name)
-        _write_value(buf, obj.value)
-    else:
-        name = type(obj).__name__
-        if MESSAGE_TYPES.get(name) is not type(obj):
-            raise CodecError(f"object of type {name} is not wire-encodable")
-        table = _field_table(type(obj))
-        buf.append(_T_MSG)
-        _write_str(buf, name)
-        buf += _U8.pack(len(table))
-        for field_name in table:
-            _write_value(buf, getattr(obj, field_name))
-
-
-class _Reader:
-    """Bounds-checked cursor over a v3 envelope body."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if count < 0 or end > len(self.data):
-            raise CodecError(
-                f"truncated v3 frame: wanted {count} bytes at offset "
-                f"{self.pos}, have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def read_str(self) -> str:
-        (length,) = _U32.unpack(self.take(_U32.size))
-        try:
-            return self.take(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"undecodable v3 string: {exc}") from exc
-
-    def read_value(self, depth: int = 0) -> Any:
-        if depth > 64:
-            raise CodecError("v3 payload nests too deeply")
-        (tag,) = self.take(1)
-        if tag == _T_NONE:
-            return None
-        if tag == _T_TRUE:
-            return True
-        if tag == _T_FALSE:
-            return False
-        if tag == _T_INT:
-            (length,) = _U16.unpack(self.take(_U16.size))
-            return int.from_bytes(self.take(length), "big", signed=True)
-        if tag == _T_FLOAT:
-            (value,) = _F64.unpack(self.take(_F64.size))
-            return value
-        if tag == _T_STR:
-            return self.read_str()
-        if tag == _T_BYTES:
-            (length,) = _U32.unpack(self.take(_U32.size))
-            return self.take(length)
-        if tag in (_T_LIST, _T_TUPLE):
-            (count,) = _U32.unpack(self.take(_U32.size))
-            items = [self.read_value(depth + 1) for _ in range(count)]
-            return tuple(items) if tag == _T_TUPLE else items
-        if tag == _T_MAP:
-            (count,) = _U32.unpack(self.take(_U32.size))
-            try:
-                return {self.read_value(depth + 1): self.read_value(depth + 1)
-                        for _ in range(count)}
-            except TypeError:
-                raise CodecError("unhashable map key") from None
-        if tag == _T_ENUM:
-            name = self.read_str()
-            cls = ENUM_TYPES.get(name)
-            value = self.read_value(depth + 1)
-            if cls is None:
-                raise CodecError(f"unknown enum type {name!r}")
-            try:
-                return cls(value)
-            except ValueError as exc:
-                raise CodecError(f"bad {name} value {value!r}") from exc
-        if tag == _T_MSG:
-            name = self.read_str()
-            cls = MESSAGE_TYPES.get(name)
-            if cls is None:
-                raise CodecError(f"unknown message type {name!r}")
-            table = _field_table(cls)
-            (count,) = _U8.unpack(self.take(_U8.size))
-            if count != len(table):
-                raise CodecError(
-                    f"field table mismatch for {name}: frame has {count} "
-                    f"fields, this side expects {len(table)}"
-                )
-            values = [self.read_value(depth + 1) for _ in range(count)]
-            try:
-                return cls(**dict(zip(table, values)))
-            except (TypeError, ValueError) as exc:
-                raise CodecError(f"bad {name} fields: {exc}") from exc
-        raise CodecError(f"unknown v3 value tag {tag:#x}")
-
-
-def encode_value(obj: Any) -> bytes:
-    """Serialize one value with the v3 binary value codec.
-
-    The public face of the recursive tagged encoding v3 envelopes use
-    internally: registered messages, enums, containers, and scalars all
-    round-trip.  Higher layers (e.g. the WAL-shipped replication
-    bootstrap) use it to frame record streams without inventing a
-    second binary format.
-    """
-    buf = bytearray()
-    _write_value(buf, obj)
-    return bytes(buf)
-
-
-def decode_value(data: bytes) -> Any:
-    """Inverse of :func:`encode_value`; rejects trailing bytes."""
-    reader = _Reader(data)
-    value = reader.read_value()
-    if reader.pos != len(data):
-        raise CodecError(
-            f"value has {len(data) - reader.pos} trailing bytes"
-        )
-    return value
-
-
-def _encode_v3(kind: str, request_id: int, meta: Optional[Dict[str, Any]],
-               method: Optional[str] = None, body: Any = None,
-               error: Optional[str] = None) -> bytes:
-    if meta:
-        clobbered = RESERVED_ENVELOPE_KEYS.intersection(meta)
-        if clobbered:
-            raise CodecError(
-                f"metadata may not override reserved envelope keys: "
-                f"{sorted(clobbered)}"
-            )
-    buf = bytearray(_V3_BODY.size)
-    try:
-        _V3_BODY.pack_into(buf, 0, _V3_KIND_CODES[kind], request_id)
-    except struct.error as exc:
-        raise CodecError(f"bad v3 request id {request_id!r}: {exc}") from exc
-    _write_value(buf, dict(meta) if meta else {})
-    if kind == "request":
-        _write_value(buf, method)
-        _write_value(buf, body)
-    elif kind == "response":
-        _write_value(buf, body)
-    else:
-        _write_value(buf, error)
-    return _V3_PREFIX.pack(V3_MAGIC, zlib.crc32(buf) & 0xFFFFFFFF) + buf
-
-
-def _decode_v3(data: bytes) -> Tuple[str, int, Dict[str, Any],
-                                     Optional[str], Any, Optional[str]]:
-    """Returns ``(kind, request_id, meta, method, body, error)``."""
-    if len(data) < _V3_PREFIX.size + _V3_BODY.size:
-        raise CodecError(f"truncated v3 frame: {len(data)} bytes")
-    magic, crc = _V3_PREFIX.unpack_from(data, 0)
-    if magic != V3_MAGIC:
-        raise CodecError(
-            f"not a v3 frame: leading byte {magic:#04x}, want {V3_MAGIC:#04x}"
-        )
-    region = data[_V3_PREFIX.size:]
-    if zlib.crc32(region) & 0xFFFFFFFF != crc:
-        raise CodecError("v3 frame checksum mismatch (corrupt or truncated)")
-    kind_code, request_id = _V3_BODY.unpack_from(region, 0)
-    kind = _V3_KIND_NAMES.get(kind_code)
-    if kind is None:
-        raise CodecError(f"unknown v3 envelope kind {kind_code:#x}")
-    reader = _Reader(region)
-    reader.pos = _V3_BODY.size
-    meta = reader.read_value()
-    if not isinstance(meta, dict):
-        raise CodecError("v3 envelope metadata must be a map")
-    method = body = error = None
-    if kind == "request":
-        method = reader.read_value()
-        if not isinstance(method, str):
-            raise CodecError("request envelope missing method")
-        body = reader.read_value()
-    elif kind == "response":
-        body = reader.read_value()
-    else:
-        error = reader.read_value()
-        if not isinstance(error, str):
-            raise CodecError("v3 error envelope missing message")
-    if reader.pos != len(region):
-        raise CodecError(
-            f"v3 frame has {len(region) - reader.pos} trailing bytes"
-        )
-    return kind, request_id, meta, method, body, error
 
 
 # ----------------------------------------------------------------------

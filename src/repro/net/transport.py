@@ -473,6 +473,8 @@ class TcpTransport(Transport):
         last_error: Optional[Exception] = None
         with self._lock:
             for attempt in range(1, self.max_attempts + 1):
+                self._request_id += 1
+                frame = request_frame(method, payload, self._request_id)
                 # Virtual accounting first: a lost/timed-out request is
                 # detected a full RTT later, same as SimulatedLink.
                 if charge_rtt or attempt > 1:
@@ -482,7 +484,7 @@ class TcpTransport(Transport):
                 self.messages_sent += 1
                 started = time.monotonic()
                 try:
-                    result = self._round_trip(method, payload)
+                    result = self._round_trip(frame)
                     self._note_rtt(time.monotonic() - started)
                     return result
                 except codec.RemoteCallError:
@@ -523,12 +525,8 @@ class TcpTransport(Transport):
             attempts=self.max_attempts,
         )
 
-    def _round_trip(self, method: str, payload: object):
+    def _round_trip(self, frame: bytearray):
         sock = self._connection()
-        self._request_id += 1
-        frame = codec.frame(
-            codec.encode_request(method, payload, self._request_id)
-        )
         sock.sendall(frame)
         # One physical frame = one charge, whatever it coalesces.
         self.bytes_sent += len(frame)
@@ -583,6 +581,20 @@ def loopback_transport(kind: str, handlers: HandlerTable,
         f"unknown loopback transport {kind!r}; choose 'in-process' or "
         f"'serialized' (use TcpTransport for 'tcp')"
     )
+
+
+def request_frame(method: str, payload: object, request_id: int,
+                  meta: Optional[Dict[str, Any]] = None) -> bytearray:
+    """One framed request, built before anything is charged, counted or
+    sent.  A payload the codec refuses is the caller's mistake: it
+    surfaces as a plain :class:`TransportError` naming the refusal —
+    never as the :class:`TamperedFrame` a bad *reply* earns — and costs
+    neither a counter nor the connection."""
+    try:
+        return codec.frame_request(method, payload, request_id, meta=meta)
+    except codec.CodecError as exc:
+        raise TransportError(
+            f"cannot encode {method!r} request: {exc}") from exc
 
 
 def read_frame(sock: socket.socket) -> bytes:

@@ -115,6 +115,33 @@ class TestAsyncLifecycle:
         assert endpoint.transport.messages_sent == 1  # no retry storm
         endpoint.close()
 
+    @pytest.mark.parametrize("dial", [dial_tcp, dial_async],
+                             ids=["tcp", "async"])
+    def test_unencodable_request_is_the_callers_error_not_a_tamper(
+            self, server, dial):
+        """A payload the codec refuses never reaches the wire: the call
+        fails with an RpcError naming the encode failure, no tamper
+        evidence is counted, nothing stays registered, and the *same*
+        connection serves the next call."""
+        endpoint = dial(*server.address, max_attempts=3)
+        transport = endpoint.transport
+        machine = SgxMachine("enc")
+        slid = raw_init(endpoint, machine).slid
+        sent, accepted = transport.messages_sent, server.connections_accepted
+        clock = machine.clock.cycles
+        with pytest.raises(RpcError, match="cannot encode 'renew' request.*"
+                                           "not wire-encodable"):
+            endpoint.call("renew", object(), clock=machine.clock)
+        assert (transport.frames_rejected, transport.messages_dropped) == (0, 0)
+        assert transport.messages_sent == sent  # not even counted as sent
+        assert machine.clock.cycles == clock  # nor charged a round trip
+        assert not getattr(transport, "_pending", None)
+        assert endpoint.call("return_units", (slid, LICENSE, 0),
+                             clock=machine.clock) is Status.OK
+        assert server.connections_accepted == accepted  # no re-dial
+        assert transport.reconnects == 0
+        endpoint.close()
+
     def test_stop_with_open_connections_logs_nothing(self, capfd):
         """stop() with idle connections and a handler in flight: the
         reply still goes out, every pool thread is joined, every socket
