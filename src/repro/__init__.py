@@ -23,15 +23,14 @@ the per-table/figure reproduction record.
 
 __version__ = "1.0.0"
 
-from repro.cluster import Cluster, ClusterNode, NodeSpec
-from repro.deployment import AppRun, FlaasLeaseManager, SecureLeaseDeployment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AppRun",
-    "Cluster",
-    "ClusterNode",
-    "FlaasLeaseManager",
-    "NodeSpec",
-    "SecureLeaseDeployment",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Cluster": "repro.cluster",
+    "ClusterNode": "repro.cluster",
+    "NodeSpec": "repro.cluster",
+    "AppRun": "repro.deployment",
+    "FlaasLeaseManager": "repro.deployment",
+    "SecureLeaseDeployment": "repro.deployment",
+})
+__all__.append("__version__")

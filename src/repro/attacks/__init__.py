@@ -13,33 +13,19 @@ The test suite drives both against unprotected and SecureLease-hardened
 configurations and asserts the paper's security claims.
 """
 
-from repro.attacks.cfb import (
-    AttackOutcome,
-    BranchFlipAttack,
-    CfbAnalysis,
-    FunctionSkipAttack,
-    analyze_cfg_diff,
-    run_cfb_attack,
-)
-from repro.attacks.replay import ReplayAttacker, ReplayOutcome
-from repro.attacks.unsupervised import (
-    AuthGuess,
-    StateFixupAttack,
-    collect_traces,
-    guess_auth_function,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AttackOutcome",
-    "AuthGuess",
-    "BranchFlipAttack",
-    "CfbAnalysis",
-    "FunctionSkipAttack",
-    "ReplayAttacker",
-    "ReplayOutcome",
-    "StateFixupAttack",
-    "analyze_cfg_diff",
-    "collect_traces",
-    "guess_auth_function",
-    "run_cfb_attack",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AttackOutcome": "repro.attacks.cfb",
+    "BranchFlipAttack": "repro.attacks.cfb",
+    "CfbAnalysis": "repro.attacks.cfb",
+    "FunctionSkipAttack": "repro.attacks.cfb",
+    "analyze_cfg_diff": "repro.attacks.cfb",
+    "run_cfb_attack": "repro.attacks.cfb",
+    "ReplayAttacker": "repro.attacks.replay",
+    "ReplayOutcome": "repro.attacks.replay",
+    "AuthGuess": "repro.attacks.unsupervised",
+    "StateFixupAttack": "repro.attacks.unsupervised",
+    "collect_traces": "repro.attacks.unsupervised",
+    "guess_auth_function": "repro.attacks.unsupervised",
+})

@@ -13,25 +13,17 @@ migrates *whole* clusters into the enclave.
 * :mod:`repro.callgraph.metrics` — modularity, static/dynamic coverage.
 """
 
-from repro.callgraph.cfg import CallGraph
-from repro.callgraph.clustering import Clustering, kmeans, spectral_embedding
-from repro.callgraph.synthesis import SynthesisSpec, synthesize_program
-from repro.callgraph.metrics import (
-    cut_calls,
-    dynamic_coverage,
-    modularity,
-    static_coverage_bytes,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CallGraph",
-    "Clustering",
-    "cut_calls",
-    "dynamic_coverage",
-    "kmeans",
-    "modularity",
-    "spectral_embedding",
-    "static_coverage_bytes",
-    "SynthesisSpec",
-    "synthesize_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CallGraph": "repro.callgraph.cfg",
+    "Clustering": "repro.callgraph.clustering",
+    "kmeans": "repro.callgraph.clustering",
+    "spectral_embedding": "repro.callgraph.clustering",
+    "SynthesisSpec": "repro.callgraph.synthesis",
+    "synthesize_program": "repro.callgraph.synthesis",
+    "cut_calls": "repro.callgraph.metrics",
+    "dynamic_coverage": "repro.callgraph.metrics",
+    "modularity": "repro.callgraph.metrics",
+    "static_coverage_bytes": "repro.callgraph.metrics",
+})

@@ -18,19 +18,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import signal
 import sys
 from typing import List, Optional
 
-from repro.attacks.cfb import BranchFlipAttack, analyze_cfg_diff, run_cfb_attack
-from repro.cluster import Cluster, NodeSpec
-from repro.deployment import SecureLeaseDeployment
-from repro.partition import (
-    GlamdringPartitioner,
-    PartitionEvaluator,
-    SecureLeasePartitioner,
-)
-from repro.sgx import SgxMachine
-from repro.workloads import WORKLOAD_CLASSES, get_workload
+# Each cmd_* imports what it runs: a restarted lease server is mostly
+# ``import``, and it executes none of the attack, partition or workload
+# trees the simulation commands need.
 
 
 def _print_kv(pairs) -> None:
@@ -40,6 +34,8 @@ def _print_kv(pairs) -> None:
 
 
 def cmd_workloads(_args) -> int:
+    from repro.workloads import WORKLOAD_CLASSES
+
     print("Table 4 workloads:")
     for cls in WORKLOAD_CLASSES:
         billing = "per-call" if cls.per_call_billing else "per-run"
@@ -58,6 +54,9 @@ def _endpoint_with_batch_window(endpoint: Optional[str],
 
 
 def cmd_run(args) -> int:
+    from repro.deployment import SecureLeaseDeployment
+    from repro.workloads import get_workload
+
     workload = get_workload(args.workload, seed=args.seed)
     endpoint = _endpoint_with_batch_window(args.endpoint, args.batch_window)
     deployment = SecureLeaseDeployment(seed=args.seed,
@@ -80,6 +79,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    from repro.partition import (
+        GlamdringPartitioner,
+        PartitionEvaluator,
+        SecureLeasePartitioner,
+    )
+    from repro.workloads import get_workload
+
     workload = get_workload(args.workload, seed=args.seed)
     run = workload.run_profiled(scale=args.scale)
     evaluator = PartitionEvaluator()
@@ -106,6 +112,15 @@ def cmd_partition(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    from repro.attacks.cfb import (
+        BranchFlipAttack,
+        analyze_cfg_diff,
+        run_cfb_attack,
+    )
+    from repro.partition import SecureLeasePartitioner
+    from repro.sgx import SgxMachine
+    from repro.workloads import get_workload
+
     workload = get_workload(args.workload, seed=args.seed)
     program = workload.build_program(scale=args.scale)
     analysis = analyze_cfg_diff(program, workload.valid_license_blob(),
@@ -137,6 +152,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_fleet(args) -> int:
+    from repro.cluster import Cluster, NodeSpec
+
     endpoint = _endpoint_with_batch_window(args.endpoint, args.batch_window)
     cluster = Cluster(seed=args.seed, transport=args.transport,
                       shards=args.shards, endpoint=endpoint)
@@ -234,13 +251,25 @@ def cmd_serve_remote(args) -> int:
     cold followers are re-seeded by WAL-shipped bootstrap instead of
     in-memory snapshots.
     """
+    # What this shape runs loads before the listening marker — never
+    # for the first time on a request path — and what it does not run
+    # does not load at all.
     from repro.core.sl_remote import SlRemote
-    from repro.net.replication import ReplicationManager, TcpPeerLink
-    from repro.net.server import LeaseServer
-    from repro.net.sharding import HashRing, ShardedRemote, default_shard_names
-    from repro.sgx import RemoteAttestationService
-    from repro.storage.anchor import StaleImageError
-    from repro.storage.wal import attach_persistence
+    from repro.sgx.attestation import RemoteAttestationService
+
+    in_process_shards = args.shards > 1 and not args.shard_of
+    if args.shard_of or in_process_shards:
+        from repro.net.replication import ReplicationManager, TcpPeerLink
+        from repro.net.sharding import (
+            HashRing,
+            ShardedRemote,
+            default_shard_names,
+        )
+    if args.data_dir:
+        from repro.storage.anchor import StaleImageError
+        from repro.storage.wal import attach_persistence
+    else:
+        StaleImageError = ()  # no image on disk, none to refuse
 
     ras = RemoteAttestationService(
         accept_any_platform=args.accept_any_platform
@@ -322,7 +351,7 @@ def cmd_serve_remote(args) -> int:
             print(f"replicating to {depth} ring successor(s) "
                   f"(quorum {quorum}, lag budget {args.lag_budget} units, "
                   f"{len(peers)} peers)", flush=True)
-    elif args.shards > 1:
+    elif in_process_shards:
         with refusing_stale_images():
             remote = ShardedRemote(ras, shards=args.shards,
                                    replicas=args.replicas,
@@ -374,6 +403,8 @@ def cmd_serve_remote(args) -> int:
                                   max_connections=args.max_connections,
                                   extra_handlers=extra_handlers)
     else:
+        from repro.net.server import LeaseServer
+
         server = LeaseServer(remote, host=args.host, port=args.port,
                              max_connections=args.max_connections,
                              extra_handlers=extra_handlers)
@@ -385,23 +416,31 @@ def cmd_serve_remote(args) -> int:
     # that wait for the port can already have parsed the replay stats.
     for persistence in persistences:
         print(persistence.last_report.marker_line(), flush=True)
-    host, port = server.start()
-    # Exact marker line: scripts and the integration test parse it to
-    # discover an ephemeral port (--port 0).
-    print(f"SL-Remote listening on {host}:{port}", flush=True)
     try:
+        # SIGTERM is what supervisors (and bench/harness.py) send: it
+        # takes Ctrl-C's path, so the final sync, the anchor ratchet and
+        # the summary line below happen.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        host, port = server.start()
+        # Exact marker line: scripts and the integration test parse it
+        # to discover an ephemeral port (--port 0).
+        print(f"SL-Remote listening on {host}:{port}", flush=True)
         server.wait()
     except KeyboardInterrupt:
         print("shutting down", flush=True)
     finally:
+        # Serving stops first: once no handler is in flight nothing can
+        # journal into a log that is being closed, and a request racing
+        # the signal was either answered (its record written, synced by
+        # close) or sees its connection drop — a typed transport error.
+        server.stop()
         if manager is not None:
             manager.stop()
-        if isinstance(remote, ShardedRemote):
+        if in_process_shards:
             remote.close()  # replication first, then its own logs
         else:
             for persistence in persistences:
                 persistence.close()
-        server.stop()
     print(f"served {server.requests_served} requests over "
           f"{server.connections_accepted} connections "
           f"({server.errors_returned} errors)", flush=True)

@@ -15,90 +15,46 @@ This package is the paper's primary contribution:
   10-tokens-per-attestation batching optimisation of Section 7.3.
 """
 
-from repro.core.gcl import Gcl, LeaseExpired, LeaseKind
-from repro.core.lease_tree import (
-    ENTRIES_PER_NODE,
-    LEASE_SIZE_BYTES,
-    LEVELS,
-    LeaseNotFound,
-    LeaseRecord,
-    LeaseTree,
-    LeaseTreeError,
-    NODE_SIZE_BYTES,
-    split_lease_id,
-)
-from repro.core.lease_store import (
-    ArrayLeaseStore,
-    LeaseStore,
-    MurmurLeaseStore,
-    Sha256LeaseStore,
-    TreeLeaseStore,
-)
-from repro.core.renewal import (
-    LicenseLedger,
-    NodeCondition,
-    RenewalDecision,
-    RenewalPolicy,
-    renew_lease,
-)
-from repro.core.protocol import (
-    AttestRequest,
-    AttestResponse,
-    InitRequest,
-    InitResponse,
-    RenewRequest,
-    RenewResponse,
-    ShutdownNotice,
-    Status,
-)
-from repro.core.sl_local import SlLocal, SlLocalError
-from repro.core.sl_manager import SlManager
-from repro.core.sl_remote import (
-    LicenseDefinition,
-    LicenseShardState,
-    LicenseUnknown,
-    SlRemote,
-)
-from repro.core.tokens import ExecutionToken, TokenError
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrayLeaseStore",
-    "AttestRequest",
-    "AttestResponse",
-    "ENTRIES_PER_NODE",
-    "ExecutionToken",
-    "Gcl",
-    "InitRequest",
-    "InitResponse",
-    "LEASE_SIZE_BYTES",
-    "LEVELS",
-    "LeaseExpired",
-    "LeaseKind",
-    "LeaseNotFound",
-    "LeaseRecord",
-    "LeaseStore",
-    "LeaseTree",
-    "LeaseTreeError",
-    "LicenseDefinition",
-    "LicenseLedger",
-    "LicenseShardState",
-    "LicenseUnknown",
-    "MurmurLeaseStore",
-    "NODE_SIZE_BYTES",
-    "NodeCondition",
-    "RenewRequest",
-    "RenewResponse",
-    "RenewalDecision",
-    "RenewalPolicy",
-    "Sha256LeaseStore",
-    "ShutdownNotice",
-    "SlLocal",
-    "SlLocalError",
-    "SlManager",
-    "SlRemote",
-    "Status",
-    "TokenError",
-    "TreeLeaseStore",
-    "renew_lease",
-    "split_lease_id",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Gcl": "repro.core.gcl",
+    "LeaseExpired": "repro.core.gcl",
+    "LeaseKind": "repro.core.gcl",
+    "ENTRIES_PER_NODE": "repro.core.lease_tree",
+    "LEASE_SIZE_BYTES": "repro.core.lease_tree",
+    "LEVELS": "repro.core.lease_tree",
+    "LeaseNotFound": "repro.core.lease_tree",
+    "LeaseRecord": "repro.core.lease_tree",
+    "LeaseTree": "repro.core.lease_tree",
+    "LeaseTreeError": "repro.core.lease_tree",
+    "NODE_SIZE_BYTES": "repro.core.lease_tree",
+    "split_lease_id": "repro.core.lease_tree",
+    "ArrayLeaseStore": "repro.core.lease_store",
+    "LeaseStore": "repro.core.lease_store",
+    "MurmurLeaseStore": "repro.core.lease_store",
+    "Sha256LeaseStore": "repro.core.lease_store",
+    "TreeLeaseStore": "repro.core.lease_store",
+    "LicenseLedger": "repro.core.renewal",
+    "NodeCondition": "repro.core.renewal",
+    "RenewalDecision": "repro.core.renewal",
+    "RenewalPolicy": "repro.core.renewal",
+    "renew_lease": "repro.core.renewal",
+    "AttestRequest": "repro.core.protocol",
+    "AttestResponse": "repro.core.protocol",
+    "InitRequest": "repro.core.protocol",
+    "InitResponse": "repro.core.protocol",
+    "RenewRequest": "repro.core.protocol",
+    "RenewResponse": "repro.core.protocol",
+    "ShutdownNotice": "repro.core.protocol",
+    "Status": "repro.core.protocol",
+    "SlLocal": "repro.core.sl_local",
+    "SlLocalError": "repro.core.sl_local",
+    "SlManager": "repro.core.sl_manager",
+    "LicenseDefinition": "repro.core.sl_remote",
+    "LicenseShardState": "repro.core.sl_remote",
+    "LicenseUnknown": "repro.core.sl_remote",
+    "SlRemote": "repro.core.sl_remote",
+    "ExecutionToken": "repro.core.tokens",
+    "TokenError": "repro.core.tokens",
+})

@@ -8,27 +8,23 @@ Python: a from-scratch AES-128 (CTR mode), MurmurHash3 (32- and 128-bit
 x86 variants), SHA-256 via :mod:`hashlib`, and the sealing helpers.
 """
 
-from repro.crypto.hashes import murmur3_32, murmur3_128, sha256_digest, sha256_word
-from repro.crypto.aes import Aes128, aes128_ctr_decrypt, aes128_ctr_encrypt
-from repro.crypto.hmac import constant_time_equal, hmac_sha256, hmac_sha256_word
-from repro.crypto.keys import KeyGenerator, expand_key64
-from repro.crypto.sealing import SealedBlob, TamperedSealError, protect, validate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Aes128",
-    "KeyGenerator",
-    "SealedBlob",
-    "TamperedSealError",
-    "aes128_ctr_decrypt",
-    "aes128_ctr_encrypt",
-    "constant_time_equal",
-    "hmac_sha256",
-    "hmac_sha256_word",
-    "expand_key64",
-    "murmur3_32",
-    "murmur3_128",
-    "protect",
-    "sha256_digest",
-    "sha256_word",
-    "validate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "murmur3_32": "repro.crypto.hashes",
+    "murmur3_128": "repro.crypto.hashes",
+    "sha256_digest": "repro.crypto.hashes",
+    "sha256_word": "repro.crypto.hashes",
+    "Aes128": "repro.crypto.aes",
+    "aes128_ctr_decrypt": "repro.crypto.aes",
+    "aes128_ctr_encrypt": "repro.crypto.aes",
+    "constant_time_equal": "repro.crypto.hmac",
+    "hmac_sha256": "repro.crypto.hmac",
+    "hmac_sha256_word": "repro.crypto.hmac",
+    "KeyGenerator": "repro.crypto.keys",
+    "expand_key64": "repro.crypto.keys",
+    "SealedBlob": "repro.crypto.sealing",
+    "TamperedSealError": "repro.crypto.sealing",
+    "protect": "repro.crypto.sealing",
+    "validate": "repro.crypto.sealing",
+})

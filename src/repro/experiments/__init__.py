@@ -15,30 +15,17 @@ as a library API (and through ``python -m repro.cli report <name>``).
 | :func:`run_handicap` | Section 6 — attacker handicap (extension) |
 """
 
-from repro.experiments.sweeps import (
-    sweep,
-    sweep_partition_budget,
-    sweep_renewal_divisor,
-)
-from repro.experiments.runners import (
-    EXPERIMENTS,
-    run_fig8,
-    run_fig9,
-    run_handicap,
-    run_table1,
-    run_table5,
-    run_table6,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "run_fig8",
-    "run_fig9",
-    "run_handicap",
-    "run_table1",
-    "run_table5",
-    "run_table6",
-    "sweep",
-    "sweep_partition_budget",
-    "sweep_renewal_divisor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "sweep": "repro.experiments.sweeps",
+    "sweep_partition_budget": "repro.experiments.sweeps",
+    "sweep_renewal_divisor": "repro.experiments.sweeps",
+    "EXPERIMENTS": "repro.experiments.runners",
+    "run_fig8": "repro.experiments.runners",
+    "run_fig9": "repro.experiments.runners",
+    "run_handicap": "repro.experiments.runners",
+    "run_table1": "repro.experiments.runners",
+    "run_table5": "repro.experiments.runners",
+    "run_table6": "repro.experiments.runners",
+})

@@ -30,99 +30,50 @@ package supplies:
   (:mod:`repro.net.replication`).
 """
 
-from repro.net.aio import AsyncLeaseServer, AsyncTcpTransport
-from repro.net.codec import CodecError, RemoteCallError
-from repro.net.endpoint import (
-    ENDPOINT_SCHEMES,
-    EndpointConfig,
-    connect,
-    endpoint_for,
-    format_endpoint,
-    parse_endpoint,
-)
-from repro.net.errors import (
-    DialError,
-    Migrating,
-    Overloaded,
-    RetriesExhausted,
-)
-from repro.net.network import NetworkConditions, NetworkError, SimulatedLink
-from repro.net.replication import (
-    BootstrapChunk,
-    FollowerStore,
-    ReplicaBatch,
-    ReplicaDelta,
-    ReplicationManager,
-    ReplicationSource,
-    ShardSnapshot,
-)
-from repro.net.rpc import RemoteEndpoint, RpcError
-from repro.net.server import LeaseServer
-from repro.net.stats import (
-    RenewalHealth,
-    ReplicationHealth,
-    ServerStats,
-    format_stats,
-)
-from repro.net.sharding import (
-    HashRing,
-    ShardRouter,
-    ShardRouterTransport,
-    ShardedRemote,
-    default_shard_names,
-)
-from repro.net.transport import (
-    HandlerTable,
-    InProcessTransport,
-    SerializedLoopbackTransport,
-    TcpTransport,
-    Transport,
-    TransportError,
-    UnknownMethodError,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsyncLeaseServer",
-    "AsyncTcpTransport",
-    "BootstrapChunk",
-    "CodecError",
-    "DialError",
-    "ENDPOINT_SCHEMES",
-    "EndpointConfig",
-    "FollowerStore",
-    "HandlerTable",
-    "HashRing",
-    "InProcessTransport",
-    "LeaseServer",
-    "Migrating",
-    "NetworkConditions",
-    "NetworkError",
-    "Overloaded",
-    "RemoteCallError",
-    "RemoteEndpoint",
-    "RenewalHealth",
-    "ReplicaBatch",
-    "ReplicaDelta",
-    "ReplicationHealth",
-    "ReplicationManager",
-    "ReplicationSource",
-    "RetriesExhausted",
-    "RpcError",
-    "ServerStats",
-    "SerializedLoopbackTransport",
-    "ShardRouter",
-    "ShardRouterTransport",
-    "ShardSnapshot",
-    "ShardedRemote",
-    "SimulatedLink",
-    "TcpTransport",
-    "Transport",
-    "TransportError",
-    "UnknownMethodError",
-    "connect",
-    "default_shard_names",
-    "endpoint_for",
-    "format_endpoint",
-    "format_stats",
-    "parse_endpoint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AsyncLeaseServer": "repro.net.aio",
+    "AsyncTcpTransport": "repro.net.aio",
+    "CodecError": "repro.net.codec",
+    "RemoteCallError": "repro.net.codec",
+    "ENDPOINT_SCHEMES": "repro.net.endpoint",
+    "EndpointConfig": "repro.net.endpoint",
+    "connect": "repro.net.endpoint",
+    "endpoint_for": "repro.net.endpoint",
+    "format_endpoint": "repro.net.endpoint",
+    "parse_endpoint": "repro.net.endpoint",
+    "DialError": "repro.net.errors",
+    "Migrating": "repro.net.errors",
+    "Overloaded": "repro.net.errors",
+    "RetriesExhausted": "repro.net.errors",
+    "NetworkConditions": "repro.net.network",
+    "NetworkError": "repro.net.network",
+    "SimulatedLink": "repro.net.network",
+    "BootstrapChunk": "repro.net.replication",
+    "FollowerStore": "repro.net.replication",
+    "ReplicaBatch": "repro.net.replication",
+    "ReplicaDelta": "repro.net.replication",
+    "ReplicationManager": "repro.net.replication",
+    "ReplicationSource": "repro.net.replication",
+    "ShardSnapshot": "repro.net.replication",
+    "RemoteEndpoint": "repro.net.rpc",
+    "RpcError": "repro.net.rpc",
+    "LeaseServer": "repro.net.server",
+    "RenewalHealth": "repro.net.stats",
+    "ReplicationHealth": "repro.net.stats",
+    "ServerStats": "repro.net.stats",
+    "format_stats": "repro.net.stats",
+    "HashRing": "repro.net.sharding",
+    "ShardRouter": "repro.net.sharding",
+    "ShardRouterTransport": "repro.net.sharding",
+    "ShardedRemote": "repro.net.sharding",
+    "default_shard_names": "repro.net.sharding",
+    "HandlerTable": "repro.net.transport",
+    "InProcessTransport": "repro.net.transport",
+    "SerializedLoopbackTransport": "repro.net.transport",
+    "TcpTransport": "repro.net.transport",
+    "Transport": "repro.net.transport",
+    "TransportError": "repro.net.transport",
+    "UnknownMethodError": "repro.net.transport",
+})

@@ -46,7 +46,6 @@ root keys) is keyed by it, not by the socket.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import itertools
 import selectors
@@ -442,6 +441,11 @@ class AsyncTcpTransport(Transport):
         loop: Optional[asyncio.AbstractEventLoop] = None,
         config: EndpointConfig = EndpointConfig(),
     ) -> None:
+        # This client is asyncio's only user: it loads with the first
+        # transport, so a process that only serves never pays for it.
+        global asyncio
+        import asyncio
+
         # Every knob (and its validation) lives in EndpointConfig.
         self.config = config
         self.host = host

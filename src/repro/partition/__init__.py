@@ -16,18 +16,14 @@ partitioner decides which functions migrate into the enclave:
   partition on the SGX cost model and reports Table 5's metrics.
 """
 
-from repro.partition.base import Partition, Partitioner
-from repro.partition.securelease import SecureLeasePartitioner
-from repro.partition.glamdring import GlamdringPartitioner
-from repro.partition.flaas import FlaasPartitioner
-from repro.partition.evaluator import PartitionCostReport, PartitionEvaluator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlaasPartitioner",
-    "GlamdringPartitioner",
-    "Partition",
-    "PartitionCostReport",
-    "PartitionEvaluator",
-    "Partitioner",
-    "SecureLeasePartitioner",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Partition": "repro.partition.base",
+    "Partitioner": "repro.partition.base",
+    "SecureLeasePartitioner": "repro.partition.securelease",
+    "GlamdringPartitioner": "repro.partition.glamdring",
+    "FlaasPartitioner": "repro.partition.flaas",
+    "PartitionCostReport": "repro.partition.evaluator",
+    "PartitionEvaluator": "repro.partition.evaluator",
+})

@@ -30,13 +30,12 @@ Run it: ``python -m repro.cli redteam`` (see the CLI), or through
 for CI's zero-gates.
 """
 
-from repro.redteam.audit import AuditReport, InvariantAuditor
-from repro.redteam.proxy import CapturedFrame, CaptureProxy, inject_frames
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AuditReport",
-    "InvariantAuditor",
-    "CapturedFrame",
-    "CaptureProxy",
-    "inject_frames",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AuditReport": "repro.redteam.audit",
+    "InvariantAuditor": "repro.redteam.audit",
+    "CapturedFrame": "repro.redteam.proxy",
+    "CaptureProxy": "repro.redteam.proxy",
+    "inject_frames": "repro.redteam.proxy",
+})

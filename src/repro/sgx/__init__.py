@@ -12,89 +12,33 @@ pieces of the platform that the paper's evaluation depends on:
 * :mod:`repro.sgx.spinlock` — ``sgx_spin_lock`` equivalent.
 * :mod:`repro.sgx.driver` — instrumented-driver statistics counters.
 
-:class:`SgxMachine` bundles one machine's worth of platform state.
+:class:`SgxMachine` (:mod:`repro.sgx.machine`) bundles one machine's worth
+of platform state.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from typing import Optional
-
-from repro.sgx.attestation import (
-    AttestationError,
-    AttestationReport,
-    LocalAttestationAuthority,
-    RemoteAttestationService,
-    measure,
-)
-from repro.sgx.costs import (
-    DEFAULT_COSTS,
-    EPC_SIZE_BYTES,
-    PAGE_SIZE,
-    SCALABLE_SGX_COSTS,
-    SgxCostModel,
-    scaled_latency_costs,
-)
-from repro.sgx.driver import SgxStats, ThreadSafeSgxStats
-from repro.sgx.enclave import Enclave, EnclaveError
-from repro.sgx.epc import EpcPager
-from repro.sgx.pcl import PclError, PclKeyServer, SealedCodeSection, load_protected_code
-from repro.sgx.spinlock import SpinLock
-from repro.sim.clock import Clock
-
-
-class SgxMachine:
-    """One SGX-capable machine: clock, stats, pager, attestation authority."""
-
-    def __init__(self, name: str = "machine",
-                 clock: Optional[Clock] = None,
-                 costs: Optional[SgxCostModel] = None,
-                 platform_secret: Optional[int] = None) -> None:
-        self.name = name
-        self.clock = clock if clock is not None else Clock()
-        self.costs = costs if costs is not None else SgxCostModel()
-        self.stats = SgxStats()
-        self.pager = EpcPager(self.clock, self.stats, self.costs)
-        secret = platform_secret if platform_secret is not None else (
-            measure(f"platform:{name}")
-        )
-        self.platform_secret = secret
-        self.local_authority = LocalAttestationAuthority(
-            self.clock, self.stats, self.costs, platform_secret=secret
-        )
-
-    def create_enclave(self, name: str, heap_bytes: int = 1 << 20) -> Enclave:
-        """Build and launch an enclave on this machine."""
-        return Enclave(
-            name=name,
-            clock=self.clock,
-            stats=self.stats,
-            pager=self.pager,
-            heap_bytes=heap_bytes,
-            costs=self.costs,
-        )
-
-
-__all__ = [
-    "AttestationError",
-    "AttestationReport",
-    "DEFAULT_COSTS",
-    "EPC_SIZE_BYTES",
-    "Enclave",
-    "EnclaveError",
-    "EpcPager",
-    "LocalAttestationAuthority",
-    "PAGE_SIZE",
-    "PclError",
-    "PclKeyServer",
-    "RemoteAttestationService",
-    "SCALABLE_SGX_COSTS",
-    "SealedCodeSection",
-    "SgxCostModel",
-    "SgxMachine",
-    "SgxStats",
-    "ThreadSafeSgxStats",
-    "SpinLock",
-    "load_protected_code",
-    "measure",
-    "scaled_latency_costs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AttestationError": "repro.sgx.attestation",
+    "AttestationReport": "repro.sgx.attestation",
+    "LocalAttestationAuthority": "repro.sgx.attestation",
+    "RemoteAttestationService": "repro.sgx.attestation",
+    "measure": "repro.sgx.attestation",
+    "DEFAULT_COSTS": "repro.sgx.costs",
+    "EPC_SIZE_BYTES": "repro.sgx.costs",
+    "PAGE_SIZE": "repro.sgx.costs",
+    "SCALABLE_SGX_COSTS": "repro.sgx.costs",
+    "SgxCostModel": "repro.sgx.costs",
+    "scaled_latency_costs": "repro.sgx.costs",
+    "SgxStats": "repro.sgx.driver",
+    "ThreadSafeSgxStats": "repro.sgx.driver",
+    "Enclave": "repro.sgx.enclave",
+    "EnclaveError": "repro.sgx.enclave",
+    "EpcPager": "repro.sgx.epc",
+    "SgxMachine": "repro.sgx.machine",
+    "PclError": "repro.sgx.pcl",
+    "PclKeyServer": "repro.sgx.pcl",
+    "SealedCodeSection": "repro.sgx.pcl",
+    "load_protected_code": "repro.sgx.pcl",
+    "SpinLock": "repro.sgx.spinlock",
+})

@@ -7,15 +7,13 @@ just enough discrete-event machinery to model concurrent clients hitting
 SL-Local (Figure 8) and multi-node lease distribution (Algorithm 1).
 """
 
-from repro.sim.clock import CPU_FREQ_HZ, Clock
-from repro.sim.rng import DeterministicRng
-from repro.sim.events import Event, EventScheduler, Process
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CPU_FREQ_HZ",
-    "Clock",
-    "DeterministicRng",
-    "Event",
-    "EventScheduler",
-    "Process",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CPU_FREQ_HZ": "repro.sim.clock",
+    "Clock": "repro.sim.clock",
+    "DeterministicRng": "repro.sim.rng",
+    "Event": "repro.sim.events",
+    "EventScheduler": "repro.sim.events",
+    "Process": "repro.sim.events",
+})

@@ -17,23 +17,16 @@ granularity:
   partitioners consume.
 """
 
-from repro.vcpu.program import DataRegion, FunctionSpec, Program
-from repro.vcpu.machine import (
-    ExecutionDenied,
-    Placement,
-    VcpuError,
-    VirtualCpu,
-)
-from repro.vcpu.tracer import CallProfile, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CallProfile",
-    "DataRegion",
-    "ExecutionDenied",
-    "FunctionSpec",
-    "Placement",
-    "Program",
-    "Tracer",
-    "VcpuError",
-    "VirtualCpu",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DataRegion": "repro.vcpu.program",
+    "FunctionSpec": "repro.vcpu.program",
+    "Program": "repro.vcpu.program",
+    "ExecutionDenied": "repro.vcpu.machine",
+    "Placement": "repro.vcpu.machine",
+    "VcpuError": "repro.vcpu.machine",
+    "VirtualCpu": "repro.vcpu.machine",
+    "CallProfile": "repro.vcpu.tracer",
+    "Tracer": "repro.vcpu.tracer",
+})

@@ -8,26 +8,15 @@ Declared data-region sizes mirror the paper's footprints so the EPC
 cost model sees the same pressure the authors measured.
 """
 
-from repro.workloads.base import (
-    Workload,
-    WorkloadRun,
-    add_auth_module,
-    expected_license_blob,
-)
-from repro.workloads.registry import (
-    FAAS_WORKLOADS,
-    WORKLOAD_CLASSES,
-    all_workloads,
-    get_workload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAAS_WORKLOADS",
-    "WORKLOAD_CLASSES",
-    "Workload",
-    "WorkloadRun",
-    "add_auth_module",
-    "all_workloads",
-    "expected_license_blob",
-    "get_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Workload": "repro.workloads.base",
+    "WorkloadRun": "repro.workloads.base",
+    "add_auth_module": "repro.workloads.base",
+    "expected_license_blob": "repro.workloads.base",
+    "FAAS_WORKLOADS": "repro.workloads.registry",
+    "WORKLOAD_CLASSES": "repro.workloads.registry",
+    "all_workloads": "repro.workloads.registry",
+    "get_workload": "repro.workloads.registry",
+})

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.crypto.keys import KeyGenerator
@@ -34,3 +37,18 @@ def machine() -> SgxMachine:
 @pytest.fixture
 def deployment() -> SecureLeaseDeployment:
     return SecureLeaseDeployment(seed=7)
+
+
+@pytest.fixture
+def src_env() -> dict:
+    """Environment for a child ``python -m repro...``: ``src/`` importable.
+
+    Tests that must not inherit this process's ``sys.modules`` (import
+    closures, command-local imports) run their subject in a fresh
+    interpreter with this.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src), env.get("PYTHONPATH", "")])
+    return env

@@ -1,8 +1,30 @@
 """Tests for the command-line interface."""
 
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
+
+#: One minimal invocation per command and a line its output must hold.
+#: Each cmd_* imports what it runs, so these go through a *fresh*
+#: interpreter: a name that only resolves because another test already
+#: imported its module fails here.
+FRESH = {
+    "workloads": ([], "matmul"),
+    "run": (["blockchain", "--scale", "0.05"], "'status': 'OK'"),
+    "partition": (["bfs", "--scale", "0.05"], "[glamdring]"),
+    "attack": (["bfs", "--scale", "0.05"],
+               "SecureLease binary: attack succeeded = False"),
+    "fleet": (["--nodes", "3", "--checks", "10"], "pool conserved: True"),
+    "report": (["fig8"], "Figure 8"),
+}
+#: These talk to (or are) a running fleet; the suites that start one run
+#: them: test_serve_remote.py and test_import_closure.py (subprocesses),
+#: tests/net/test_stats.py, tests/redteam/test_cli_redteam.py, and
+#: benchmarks/test_failover.py for ``ring``.
+NEED_A_FLEET = {"serve-remote", "stats", "ring", "redteam"}
 
 
 class TestParser:
@@ -88,3 +110,28 @@ class TestCommands:
         main(["--seed", "5", "run", "blockchain", "--scale", "0.05"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestEveryCommand:
+    def test_every_command_is_classified(self):
+        """A command added to ``COMMANDS`` needs a minimal invocation
+        (or a live-fleet suite) before this file passes again."""
+        assert set(FRESH) | NEED_A_FLEET == set(COMMANDS)
+        assert not set(FRESH) & NEED_A_FLEET
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert command in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(FRESH))
+    def test_minimal_invocation_from_a_fresh_interpreter(self, command,
+                                                         src_env):
+        argv, expected = FRESH[command]
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", command, *argv],
+            env=src_env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert expected in done.stdout

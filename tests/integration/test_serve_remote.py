@@ -263,3 +263,62 @@ def test_in_process_shards_refuse_a_rolled_back_data_dir(tmp_path):
     finally:
         process.kill()
         process.wait(timeout=10)
+
+
+def test_sigterm_is_a_clean_stop(tmp_path):
+    """SIGTERM — what every supervisor sends — takes Ctrl-C's path.
+
+    Under ``--fsync interval`` the last records ride the OS cache and
+    the anchor trails by up to one maintenance tick, so only the clean
+    path (final sync, anchor ratchet, summary line) leaves the anchor
+    at the log's last seq.  The restart then drops nothing and still
+    holds every grant the client was acknowledged.
+    """
+    from repro.core.licensefile import VENDOR_SECRET
+    from repro.sim.clock import Clock
+    from repro.storage.anchor import FreshnessAnchor
+    from repro.storage.wal import WriteAheadLog, derive_wal_key64
+
+    data, anchors = tmp_path / "ledger", tmp_path / "anchors"
+    args = ["--io", "async", "--data-dir", str(data),
+            "--anchor-dir", str(anchors), "--fsync", "interval"]
+
+    process = _spawn_serve_remote(args)
+    try:
+        seen = _read_until_marker(process)
+        host, port = seen[-1].split(MARKER, 1)[1].strip().rsplit(":", 1)
+        endpoint = connect(f"sl://{host}:{port}", timeout_seconds=10.0)
+        sl_local = SlLocal(SgxMachine("term-node"), endpoint,
+                           KeyGenerator(DeterministicRng(11)),
+                           tokens_per_attestation=10)
+        sl_local.init()
+        for _ in range(5):  # acknowledged grants, never returned
+            sl_local._fetch_lease("lic-wire", mint_license_blob("lic-wire"))
+        held = endpoint.call("ledger_probe", "lic-wire",
+                             clock=Clock())["lic-wire"]["outstanding"]
+        assert held > 0
+        process.terminate()  # no pause: the records are not fsynced yet
+        output, _ = process.communicate(timeout=10)
+        endpoint.close()
+    finally:
+        process.kill()
+        process.wait(timeout=10)
+    assert process.returncode == 0, output
+    assert output == ("shutting down\n"  # init + 5 renewals + the probe
+                      "served 7 requests over 1 connections (0 errors)\n")
+
+    records, good_offset, size = WriteAheadLog.read(
+        str(data / "remote" / "ledger.wal"),
+        derive_wal_key64(VENDOR_SECRET, "remote"))
+    assert good_offset == size and len(records) >= 7  # issue, init, 5 grants
+    anchor = FreshnessAnchor(str(anchors / "remote.anchor")).read()
+    assert anchor == records[-1].seq
+
+    process = _spawn_serve_remote(args)
+    try:
+        seen = _read_until_marker(process)
+        recovery, = [line for line in seen if line.startswith("SL-Recovery")]
+        assert f"records={len(records)} forfeited={held} dropped=0" in recovery
+    finally:
+        process.terminate()
+        assert process.wait(timeout=10) == 0
