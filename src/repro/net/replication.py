@@ -45,8 +45,14 @@ bounded, *accounted* loss instead of a dead license:
   ShardPersistence`), it ships a :class:`BootstrapChunk` — the
   on-disk snapshot plus the WAL tail in v3 frames — and the follower
   replays it through :class:`FollowerStore`, then switches to live
-  deltas at the captured seq watermark.  Healthy followers keep the
-  classic in-memory anti-entropy snapshot as a periodic backstop.
+  deltas at the captured seq watermark.
+* **Reconcile on evidence** — the periodic pass (``snapshot_now``)
+  sends a follower the full :class:`ShardSnapshot` /
+  :class:`BootstrapChunk` only when something says its replica is not
+  what the delta stream built (cold or broken stream, a delta it could
+  not apply, a watermark that is not the one acked here, a changed
+  follow set); a warm follower costs one empty :class:`ReplicaBatch`,
+  which is also how an idle deposed primary hears its fence.
 * :class:`FollowerStore` — the follower-side replica: wire-form
   license records per source shard, mutated by deltas, replaced by
   snapshots, rebuilt by bootstrap chunks; fences stale sources.
@@ -70,6 +76,7 @@ whichever survivor is next in ring order for each license.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import threading
 import time
@@ -136,7 +143,7 @@ class ReplicaBatch:
 
 @dataclass(frozen=True)
 class ShardSnapshot:
-    """Full anti-entropy state of ``source``'s licenses for one follower.
+    """Full state of ``source``'s licenses for one follower (a rebuild).
 
     ``licenses`` maps license_id to the wire form produced by
     :meth:`~repro.core.sl_remote.SlRemote.export_license_state`;
@@ -200,6 +207,11 @@ def _slid_of(node_key: str) -> str:
 class PeerLink:
     """One replication hop to a peer shard (transport-agnostic)."""
 
+    #: True when ``call`` runs in this process and so cannot block on a
+    #: network: a quorum waiter may then ship on its own thread without
+    #: putting ``DEFAULT_QUORUM_TIMEOUT`` at a hung peer's mercy.
+    in_process = False
+
     def call(self, method: str, payload: Any) -> Any:
         raise NotImplementedError
 
@@ -208,21 +220,38 @@ class PeerLink:
 
 
 class LocalPeerLink(PeerLink):
-    """Direct call into another in-process shard's manager."""
+    """Direct call into another in-process shard's manager.
 
-    def __init__(self, manager: "ReplicationManager") -> None:
+    The peer surface is resolved when ``manager`` is set (fleets build
+    their links first and wire the managers in afterwards), never per
+    call.
+    """
+
+    in_process = True
+
+    def __init__(self, manager: Optional["ReplicationManager"]) -> None:
         self.manager = manager
 
+    @property
+    def manager(self) -> Optional["ReplicationManager"]:
+        return self._manager
+
+    @manager.setter
+    def manager(self, manager: Optional["ReplicationManager"]) -> None:
+        self._manager = manager
+        self._handlers = (manager.peer_handlers()
+                          if manager is not None else {})
+
     def call(self, method: str, payload: Any) -> Any:
-        return self.manager.extra_handlers()[method](payload)
+        return self._handlers[method](payload)
 
 
 class TcpPeerLink(PeerLink):
     """Replication over the standard lease wire (fleet-internal).
 
     Uses small budgets: replication is retried forever by the flusher
-    anyway, so a slow peer should fail fast and let the anti-entropy
-    snapshot heal the gap, not stall the stream.
+    anyway, so a slow peer should fail fast and let the next
+    reconciliation pass heal the gap, not stall the stream.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -254,16 +283,35 @@ class ReplicationSource:
     ``followers_for(license_id)`` names the peers that replicate a
     given license (the K distinct ring successors); identity events go
     to every peer.  The flusher thread drains the delta buffer every
-    ``flush_interval`` seconds and takes a snapshot/bootstrap pass
-    every ``snapshot_interval`` seconds; both can also be driven
-    explicitly (``flush_now`` / ``snapshot_now``) which is what
-    deterministic tests do.
+    ``flush_interval`` seconds and takes a reconciliation pass every
+    ``snapshot_interval`` seconds; both can also be driven explicitly
+    (``flush_now`` / ``snapshot_now``) which is what deterministic
+    tests do, and what an identity-quorum waiter does itself when no
+    peer link can block on a network.
+
+    The pass rebuilds a peer's replica (``_needs_snapshot`` names the
+    peer and why) only on evidence that it differs from what the delta
+    stream built:
+
+    * ``cold`` — never synced, or a call to it raised;
+    * ``skipped`` — its ``replicate`` reply counted a delta it could
+      not apply;
+    * ``watermark`` — that reply's ``prior_seq`` (the ``last_seq`` the
+      follower held before applying) is not ``_acked_seq[peer]``: the
+      two are equal after every successful exchange, so a difference
+      means the follower restarted or applied something twice;
+    * ``follow_set`` — ``followers_for`` added it to, or took it off,
+      a license's route since that route was last looked at.
+
+    Every other live peer gets one empty :class:`ReplicaBatch` per
+    pass, which is what surfaces ``watermark`` evidence and a fence on
+    an idle stream.  Between the evidence and the pass, deltas for the
+    peer are dropped exactly as for a broken stream.
 
     When ``exporter`` is set (a :meth:`~repro.storage.wal.
-    ShardPersistence.export_bootstrap` bound method), peers whose
-    delta stream broke — including every peer at startup — are healed
-    with a WAL-shipped :class:`BootstrapChunk` instead of an in-memory
-    snapshot build.
+    ShardPersistence.export_bootstrap` bound method), ``cold`` peers —
+    including every peer at startup — are healed with a WAL-shipped
+    :class:`BootstrapChunk` instead of an in-memory snapshot build.
     """
 
     def __init__(
@@ -331,9 +379,18 @@ class ReplicationSource:
         #: peer -> epoch at which that peer fenced *us* (we were
         #: promoted away from).  A fenced source stops granting.
         self._fenced: Dict[str, int] = {}
-        #: Peers whose delta stream broke: deltas for them are dropped
-        #: and the next snapshot/bootstrap pass reconciles them.
-        self._needs_snapshot: Set[str] = set(self.peers)
+        #: peer -> why its replica must be rebuilt (the first evidence
+        #: seen; see the class docstring).  Deltas for these peers are
+        #: dropped and the next pass reconciles them.  Guarded by
+        #: ``_lock``: request threads ship too.
+        self._needs_snapshot: Dict[str, str] = dict.fromkeys(
+            self.peers, "cold")
+        #: reason -> snapshots/bootstraps that landed because of it.
+        self.reconciled: Dict[str, int] = dict.fromkeys(
+            ("cold", "skipped", "watermark", "follow_set"), 0)
+        #: license_id -> ``followers_for`` as last looked at (by a
+        #: grant, a flush or a pass).
+        self._routes: Dict[str, Tuple[str, ...]] = {}
         self.batches_sent = 0
         self.snapshots_sent = 0
         self.bootstraps_sent = 0
@@ -352,9 +409,27 @@ class ReplicationSource:
 
     # -- primary-side hooks (called under the mutated state's lock) ----
     def _live_followers(self, license_id: str) -> List[str]:
-        """Followers that can still ack (``_lock`` held)."""
-        return [peer for peer in self.followers_for(license_id)
+        """Followers that can still ack (``_lock`` held).
+
+        A peer that joined or left the route since it was last looked
+        at holds a replica the stream did not build — it missed this
+        license's deltas, or keeps a copy nobody updates — so it is
+        marked for the next pass.
+        """
+        followers = tuple(self.followers_for(license_id))
+        known = self._routes.get(license_id, followers)
+        self._routes[license_id] = followers
+        live = [peer for peer in followers
                 if peer in self.peers and peer not in self._fenced]
+        if known != followers:
+            for peer in set(known).symmetric_difference(followers):
+                self._mark(peer, "follow_set")
+        return live
+
+    def _mark(self, peer_name: str, reason: str) -> None:
+        """Queue a live peer for reconciliation (``_lock`` held)."""
+        if peer_name in self.peers and peer_name not in self._fenced:
+            self._needs_snapshot.setdefault(peer_name, reason)
 
     def _observe(self, event: str, fields: Dict[str, Any]) -> None:
         with self._lock:
@@ -476,7 +551,7 @@ class ReplicationSource:
         """
         with self._lock:
             peer = self.peers.pop(name, None)
-            self._needs_snapshot.discard(name)
+            self._needs_snapshot.pop(name, None)
             self._unacked.pop(name, None)
             self._shipped.pop(name, None)
             self._acked_seq.pop(name, None)
@@ -540,44 +615,61 @@ class ReplicationSource:
     # -- identity quorum ------------------------------------------------
     def wait_identity_quorum(self, required: int,
                              timeout: float = DEFAULT_QUORUM_TIMEOUT) -> bool:
-        """Block until ``required`` live peers have acked the current
-        identity watermark (or every live peer, when fewer than
-        ``required`` remain).  Returns False on timeout.
+        """Block until ``required`` live peers have acked the identity
+        watermark as it stood on entry (or every live peer, when fewer
+        than ``required`` remain).  Returns False on timeout.
 
         Called on the dispatch path after an identity-mutating handler
-        (init/shutdown) ran: the client's ack is held until a majority
-        of followers could survive this shard's death with the escrow
-        intact.  With no flusher thread (deterministic tests) the wait
-        drives shipping inline.
+        (init/shutdown) ran — so the caller holds no license, registry
+        or clients lock, and its own delta (appended by ``_observe`` on
+        this thread) is at or below the watermark read here.  Later
+        identity writes by other connections are their waiters'
+        business, not this one's.
+
+        The waiter ships on its own thread whenever shipping cannot
+        block on a network (no flusher, or every live peer's link is
+        in-process): ``_flush_serial`` makes whoever holds it take
+        every pending delta in seq order, so a second waiter finds its
+        delta already shipped.  With a network link in play it wakes
+        the flusher instead — ``timeout`` is a tail bound a hung peer
+        must not stretch.
         """
         if required <= 0:
             return True
         deadline = time.monotonic() + timeout
+        with self._lock:
+            target = self._identity_seq
+        if target == 0:
+            return True
         while True:
             with self._lock:
-                target = self._identity_seq
-                live = [peer for peer in self.peers
-                        if peer not in self._fenced]
-                need = min(required, len(live))
-                if target == 0 or need <= 0:
+                if self._quorum_acked(required, target):
                     return True
-                acked = sum(1 for peer in live
-                            if self._acked_seq.get(peer, 0) >= target)
-                if acked >= need:
-                    return True
+                inline = self._thread is None or all(
+                    link.in_process for peer, link in self.peers.items()
+                    if peer not in self._fenced)
             if time.monotonic() >= deadline:
                 return False
-            if self._thread is None:
-                # Deterministic mode: ship inline.  flush alone cannot
-                # reach a peer whose stream broke (deltas for it are
-                # dropped), so escalate to the snapshot pass.
+            if inline:
                 self.flush_now()
+                with self._lock:
+                    if self._quorum_acked(required, target):
+                        return True
+                # flush alone cannot reach a peer that needs
+                # reconciling (deltas for it are dropped): escalate.
                 self.snapshot_now()
-                time.sleep(0.001)
             else:
                 self._wake.set()
-                with self._ack_cond:
+            with self._ack_cond:
+                if not self._quorum_acked(required, target):
                     self._ack_cond.wait(timeout=0.01)
+
+    def _quorum_acked(self, required: int, target: int) -> bool:
+        """``_lock`` held."""
+        live = [peer for peer in self.peers if peer not in self._fenced]
+        acked = sum(1 for peer in live
+                    if self._acked_seq.get(peer, 0) >= target)
+        return acked >= min(required, len(live))
 
     # -- shipping -------------------------------------------------------
     def _route(self, delta: ReplicaDelta) -> List[str]:
@@ -619,19 +711,66 @@ class ReplicationSource:
             merged.append(delta)
         return merged
 
-    def _fenced_reply(self, peer_name: str, reply: Any) -> bool:
-        """Record a ``{"status": "fenced"}`` answer; True if it was one."""
-        if not (isinstance(reply, dict)
-                and reply.get("status") == "fenced"):
+    def _refused(self, peer_name: str, method: str, reply: Any) -> bool:
+        """True when ``reply`` says the peer did not take the message
+        as sent: a ``{"status": "fenced"}`` answer is recorded, and a
+        ``replicate`` reply carrying evidence (see the class docstring)
+        marks the peer for the next pass.  A reply without the evidence
+        keys — an older peer, a test double — is no evidence."""
+        if not isinstance(reply, dict):
             return False
         with self._lock:
-            epoch = int(reply.get("epoch", 0))
-            if epoch > self._fenced.get(peer_name, -1):
-                self._fenced[peer_name] = epoch
-            self._needs_snapshot.discard(peer_name)
-            self._ack_cond.notify_all()
-        self.fenced_rejections += 1
-        return True
+            if reply.get("status") == "fenced":
+                epoch = int(reply.get("epoch", 0))
+                if epoch > self._fenced.get(peer_name, -1):
+                    self._fenced[peer_name] = epoch
+                self._needs_snapshot.pop(peer_name, None)
+                self._ack_cond.notify_all()
+                self.fenced_rejections += 1
+                return True
+            if method != "replicate":
+                return False  # a rebuild has nothing to be evidence of
+            prior = reply.get("prior_seq")
+            if (prior is not None
+                    and prior != self._acked_seq.get(peer_name, 0)):
+                self._mark(peer_name, "watermark")
+                return True
+            if reply.get("skipped"):
+                self._mark(peer_name, "skipped")
+                return True
+        return False
+
+    def _call(self, peer_name: str, method: str, message: Any) -> bool:
+        """Send one message; True when the peer took it as sent.  A
+        dropped link, a raising call (retried on the next pass) and a
+        refusal all answer False."""
+        link = self.peers.get(peer_name)
+        if link is None:
+            return False  # dropped concurrently by a promotion
+        try:
+            reply = link.call(method, message)
+        except Exception:  # noqa: BLE001 - peer fault = resync later
+            with self._lock:
+                self._mark(peer_name, "cold")
+            return False
+        return not self._refused(peer_name, method, reply)
+
+    def _ship_batch(self, peer_name: str, deltas: List[ReplicaDelta],
+                    epoch: int) -> None:
+        """One :class:`ReplicaBatch` to one warm peer; ``deltas`` is
+        empty for the pass's contact, which acks nothing."""
+        touched = {delta.fields.get("license_id") for delta in deltas}
+        budgets = {license_id: self.desired_budget(license_id)
+                   for license_id in touched if license_id is not None}
+        batch = ReplicaBatch(source=self.name, budget=self.budget,
+                             deltas=tuple(deltas), budgets=budgets,
+                             epoch=epoch)
+        if not self._call(peer_name, "replicate", batch):
+            self.deltas_dropped += len(deltas)
+        elif deltas:
+            self.batches_sent += 1
+            self._ack(peer_name, self._grant_units(deltas), deltas[-1].seq)
+            self._ship_budgets(peer_name, budgets)
 
     def flush_now(self) -> None:
         """Drain pending deltas and ship one batch per follower."""
@@ -650,63 +789,60 @@ class ReplicationSource:
                 for delta in coalesced:
                     for peer_name in self._route(delta):
                         per_peer.setdefault(peer_name, []).append(delta)
+                needy = set(self._needs_snapshot)
             for peer_name, deltas in per_peer.items():
-                if peer_name in self._needs_snapshot:
-                    # The stream to this peer is already broken; deltas
-                    # would apply out of order.  The snapshot/bootstrap
-                    # pass supersedes them.
+                if peer_name in needy:
+                    # The stream to this peer is broken or its replica
+                    # suspect; deltas would land on the wrong state.
+                    # The pass supersedes them.
                     self.deltas_dropped += len(deltas)
-                    continue
-                touched = {delta.fields.get("license_id")
-                           for delta in deltas}
-                budgets = {license_id: self.desired_budget(license_id)
-                           for license_id in touched
-                           if license_id is not None}
-                batch = ReplicaBatch(source=self.name, budget=self.budget,
-                                     deltas=tuple(deltas), budgets=budgets,
-                                     epoch=epoch)
-                acked_grants = self._grant_units(deltas)
-                link = self.peers.get(peer_name)
-                if link is None:
-                    continue  # dropped concurrently by a promotion
-                try:
-                    reply = link.call("replicate", batch)
-                except Exception:  # noqa: BLE001 - peer fault = resync later
-                    self._needs_snapshot.add(peer_name)
-                    self.deltas_dropped += len(deltas)
-                    continue
-                if self._fenced_reply(peer_name, reply):
-                    continue
-                self.batches_sent += 1
-                self._ack(peer_name, acked_grants, deltas[-1].seq)
-                self._ship_budgets(peer_name, budgets)
+                else:
+                    self._ship_batch(peer_name, deltas, epoch)
 
     def snapshot_now(self) -> None:
-        """Reconcile every peer: WAL-shipped bootstrap for peers whose
-        stream broke (when durable storage is attached), the classic
-        in-memory snapshot as the anti-entropy backstop otherwise."""
+        """The reconciliation pass: one empty batch to every warm peer
+        (which is how an idle stream surfaces a restarted follower or
+        a fence), then a rebuild — WAL-shipped bootstrap for cold peers
+        when durable storage is attached, the in-memory snapshot
+        otherwise — for every peer there is evidence against."""
+        license_ids = self.remote.license_ids()
         with self._flush_serial:
             with self._lock:
-                fenced = set(self._fenced)
                 epoch = self.epoch
-            targets = [peer for peer in list(self.peers)
-                       if peer not in fenced]
-            if self.exporter is not None:
-                needy = [peer for peer in targets
-                         if peer in self._needs_snapshot]
-                if needy:
-                    try:
-                        done = self._bootstrap_now(needy, epoch)
-                    except Exception:  # noqa: BLE001 - exporter fault
-                        done = set()  # fall back to classic snapshots
-                    targets = [peer for peer in targets
-                               if peer not in done]
-            for peer_name in targets:
+                for license_id in license_ids:
+                    self._live_followers(license_id)  # marks moved routes
+                warm = [peer for peer in self.peers
+                        if peer not in self._fenced
+                        and peer not in self._needs_snapshot]
+            for peer_name in warm:
+                self._ship_batch(peer_name, [], epoch)
+            with self._lock:
+                needy = dict(self._needs_snapshot)
+            cold = [peer for peer, reason in needy.items()
+                    if reason == "cold"]
+            if self.exporter is not None and cold:
+                try:
+                    self._bootstrap_now(cold, epoch)
+                except Exception:  # noqa: BLE001 - exporter fault
+                    cold = []  # fall back to classic snapshots
+                for peer_name in cold:
+                    del needy[peer_name]  # a failed call waits a pass
+            for peer_name in needy:
                 self._snapshot_peer(peer_name, epoch)
 
-    def _bootstrap_now(self, targets: List[str], epoch: int) -> Set[str]:
-        """Ship one durable export to every cold peer; returns the
-        peers that no longer need a classic snapshot this pass."""
+    def _landed(self, peer_name: str, grants: Dict[str, int], seq: int,
+                budgets: Dict[str, int]) -> None:
+        """A snapshot/bootstrap rebuilt the peer's replica as of
+        ``seq``: the evidence against it is spent."""
+        with self._lock:
+            reason = self._needs_snapshot.pop(peer_name, None)
+            if reason is not None:
+                self.reconciled[reason] += 1
+        self._ack(peer_name, grants, seq)
+        self._ship_budgets(peer_name, budgets)
+
+    def _bootstrap_now(self, targets: List[str], epoch: int) -> None:
+        """Ship one durable export to every cold peer."""
         capture: Dict[str, Any] = {}
 
         def cut() -> None:
@@ -723,75 +859,62 @@ class ReplicationSource:
         snapshot, records = self.exporter(cut)
         budgets = {license_id: self.desired_budget(license_id)
                    for license_id in self.remote.license_ids()}
-        done: Set[str] = set()
+        chunk = BootstrapChunk(
+            source=self.name, seq=capture["seq"], budget=self.budget,
+            snapshot=snapshot, records=records, budgets=budgets,
+            epoch=epoch,
+        )
         for name in targets:
-            link = self.peers.get(name)
-            if link is None:
-                done.add(name)
-                continue
-            chunk = BootstrapChunk(
-                source=self.name, seq=capture["seq"], budget=self.budget,
-                snapshot=snapshot, records=records, budgets=budgets,
-                epoch=epoch,
-            )
-            try:
-                reply = link.call("bootstrap", chunk)
-            except Exception:  # noqa: BLE001 - retried on the next pass
-                self._needs_snapshot.add(name)
-                done.add(name)
-                continue
-            if self._fenced_reply(name, reply):
-                done.add(name)
-                continue
-            self.bootstraps_sent += 1
-            self._needs_snapshot.discard(name)
-            self._ack(name, capture["covered"].get(name, {}),
-                      capture["seq"])
-            self._ship_budgets(name, budgets)
-            done.add(name)
-        return done
+            if self._call(name, "bootstrap", chunk):
+                self.bootstraps_sent += 1
+                self._landed(name, capture["covered"].get(name, {}),
+                             capture["seq"], budgets)
 
     def _snapshot_peer(self, peer_name: str, epoch: int) -> None:
-        """Ship the classic in-memory snapshot to one peer."""
-        link = self.peers.get(peer_name)
-        if link is None:
-            return
-        licenses: Dict[str, Any] = {}
-        for license_id in self.remote.license_ids():
-            if peer_name not in self.followers_for(license_id):
-                continue
-            licenses[license_id] = \
-                self.remote.export_license_state(license_id)
-        # Grants already exported are replicated the moment the
-        # snapshot lands; grants that raced in since are still in
-        # the pending queue and stay unacked until their own flush.
-        with self._lock:
-            covered = {
-                license_id:
-                    self._unacked.get(peer_name, {}).get(license_id, 0)
-                    - self._pending_grants(license_id)
-                for license_id in licenses
-            }
-            seq = self._seq
+        """Ship the classic in-memory snapshot to one peer.
+
+        The export and its seq are one cut: identity events fire under
+        the clients lock and a license's under its own (both
+        re-entrant; clients before license is the documented order),
+        so with all of them held every delta at or below ``seq`` is in
+        the snapshot and none above it is — the follower drops the
+        former as replays and applies the latter, and no later
+        snapshot is needed to paper over a grant that slipped between
+        the export and the watermark.
+        """
+        remote = self.remote
+        followed = sorted(
+            license_id for license_id in remote.license_ids()
+            if peer_name in self.followers_for(license_id))
+        states = [remote.license_state(license_id)
+                  for license_id in followed]
+        with contextlib.ExitStack() as cut:
+            cut.enter_context(remote._clients_lock)
+            for state in states:
+                cut.enter_context(state.lock)
+            licenses = {license_id: remote.export_license_state(license_id)
+                        for license_id in followed}
+            identity = remote.export_identity()
+            # Grants still in the pending queue are in the export too,
+            # but stay unacked until their own flush acks them.
+            with self._lock:
+                covered = {
+                    license_id:
+                        self._unacked.get(peer_name, {}).get(license_id, 0)
+                        - self._pending_grants(license_id)
+                    for license_id in licenses
+                }
+                seq = self._seq
         budgets = {license_id: self.desired_budget(license_id)
                    for license_id in licenses}
         snapshot = ShardSnapshot(
             source=self.name, seq=seq, budget=self.budget,
-            licenses=licenses,
-            identity=self.remote.export_identity(),
+            licenses=licenses, identity=identity,
             budgets=budgets, epoch=epoch,
         )
-        try:
-            reply = link.call("sync_snapshot", snapshot)
-        except Exception:  # noqa: BLE001 - retried on the next pass
-            self._needs_snapshot.add(peer_name)
-            return
-        if self._fenced_reply(peer_name, reply):
-            return
-        self.snapshots_sent += 1
-        self._needs_snapshot.discard(peer_name)
-        self._ack(peer_name, covered, seq)
-        self._ship_budgets(peer_name, budgets)
+        if self._call(peer_name, "sync_snapshot", snapshot):
+            self.snapshots_sent += 1
+            self._landed(peer_name, covered, seq, budgets)
 
     def _pending_grants(self, license_id: str) -> int:
         """Grant units still queued for ``license_id`` (lock held)."""
@@ -925,6 +1048,7 @@ class FollowerStore:
             )
             replica.budget = batch.budget
             self._merge_budgets(replica, batch.budgets)
+            prior_seq, skipped = replica.last_seq, 0
             claimed: List[str] = []
             for delta in batch.deltas:
                 if delta.seq <= replica.last_seq:
@@ -940,9 +1064,13 @@ class FollowerStore:
                 if self._apply_delta(replica, delta, issue_record):
                     self.deltas_applied += 1
                 else:
-                    self.deltas_skipped += 1
+                    skipped += 1
+            self.deltas_skipped += skipped
             self._claim(batch.source, claimed)
-            return {"status": "ok", "seq": replica.last_seq}
+            # prior_seq/skipped are the source's evidence that this
+            # replica is (not) what its stream built.
+            return {"status": "ok", "seq": replica.last_seq,
+                    "prior_seq": prior_seq, "skipped": skipped}
 
     def apply_snapshot(self, snapshot: ShardSnapshot) -> Dict[str, Any]:
         with self._lock:
@@ -954,7 +1082,10 @@ class FollowerStore:
             )
             replica.budget = snapshot.budget
             self._merge_budgets(replica, snapshot.budgets)
-            replica.last_seq = max(replica.last_seq, snapshot.seq)
+            # A snapshot replaces the replica, watermark included: a
+            # restarted source counts from 0 again, and its deltas
+            # must not read as replays of its previous life.
+            replica.last_seq = snapshot.seq
             replica.licenses = dict(snapshot.licenses)
             replica.identity = snapshot.identity
             self._claim(snapshot.source, list(replica.licenses))
@@ -1003,7 +1134,7 @@ class FollowerStore:
                     skipped += 1
             self.deltas_applied += replayed
             self.deltas_skipped += skipped
-            replica.last_seq = max(replica.last_seq, chunk.seq)
+            replica.last_seq = chunk.seq
             self._claim(chunk.source, list(replica.licenses))
             self.bootstraps_applied += 1
             return {"status": "ok", "seq": replica.last_seq,
@@ -1242,14 +1373,21 @@ class ReplicationManager:
             self.source.stop()
 
     # -- wire surface ---------------------------------------------------
-    def extra_handlers(self) -> Dict[str, Callable]:
-        handlers: Dict[str, Callable] = {
+    def peer_handlers(self) -> Dict[str, Callable]:
+        """The fleet-internal surface peers call: bound methods that
+        never change, so a link resolves them once."""
+        return {
             "replicate": self.handle_replicate,
             "sync_snapshot": self.handle_snapshot,
             "bootstrap": self.handle_bootstrap,
             "promote": self.handle_promote,
             "replication_probe": self.handle_probe,
         }
+
+    def extra_handlers(self) -> Dict[str, Callable]:
+        """What a server mounts beside the protocol: the peer surface
+        plus, with a quorum, the gated ``init``/``shutdown``."""
+        handlers = self.peer_handlers()
         if self.source is not None and self.quorum > 0:
             # Identity quorum: hold the client's ack until a majority
             # of live followers could survive this shard's death with
@@ -1344,6 +1482,7 @@ class ReplicationManager:
                 seq = self.source._seq
                 identity_seq = self.source._identity_seq
                 fenced = dict(self.source._fenced)
+                reconciled = dict(self.source.reconciled)
             result["replicates"] = {
                 "budget": self.source.budget,
                 "grants_budget": self.source.grants_budget,
@@ -1357,6 +1496,7 @@ class ReplicationManager:
                 "batches_sent": self.source.batches_sent,
                 "snapshots_sent": self.source.snapshots_sent,
                 "bootstraps_sent": self.source.bootstraps_sent,
+                "reconciled": reconciled,
                 "fenced_rejections": self.source.fenced_rejections,
             }
         return result

@@ -1036,7 +1036,7 @@ class TestWalBootstrap:
         finally:
             persistence.close()
 
-    def test_warm_followers_keep_the_classic_snapshot_path(self, tmp_path):
+    def test_warm_followers_are_contacted_not_rebuilt(self, tmp_path):
         remote, persistence = self.build_durable(tmp_path)
         try:
             remote.issue_license("lic", POOL)
@@ -1048,9 +1048,12 @@ class TestWalBootstrap:
             source.exporter = persistence.export_bootstrap
             source.snapshot_now()
             assert source.bootstraps_sent == 1
-            source.snapshot_now()  # warm now: anti-entropy, not bootstrap
+            assert source.reconciled["cold"] == 1
+            source.snapshot_now()  # warm now: no evidence, no rebuild
             assert source.bootstraps_sent == 1
-            assert source.snapshots_sent >= 1
+            assert source.snapshots_sent == 0
+            assert follower.store.bootstraps_applied == 1
+            assert follower.store.snapshots_applied == 0
         finally:
             persistence.close()
 
@@ -1125,6 +1128,436 @@ class TestClaim:
                                       "total_units": 100}),
         )))
         assert "lic" not in store._sources["a"].licenses
+
+
+# ----------------------------------------------------------------------
+# Reconcile on evidence: what makes the pass rebuild a replica
+# ----------------------------------------------------------------------
+class StoreOnlyManager(ReplicationManager):
+    """A follower that cannot synthesise ``issue`` records (it lends the
+    store no secret): the record has to come from a snapshot."""
+
+    def handle_replicate(self, batch):
+        return self.store.apply_batch(batch)
+
+
+def replica_of(follower, source="a"):
+    return follower.store._sources[source]
+
+
+class TestReconcileOnEvidence:
+    def build(self, follower=None, placement=None):
+        remote = fresh_remote()
+        follower = follower or ReplicationManager(fresh_remote(), "b")
+        placement = placement if placement is not None else {}
+        source = ReplicationSource(
+            remote, "a", peers={"b": LocalPeerLink(follower)},
+            followers_for=lambda lid: placement.get(lid, ("b",)),
+        )
+        source.snapshot_now()  # cold -> warm
+        assert source.reconciled == {"cold": 1, "skipped": 0,
+                                     "watermark": 0, "follow_set": 0}
+        return remote, source, follower
+
+    def test_a_delta_the_follower_could_not_apply_marks_it(self):
+        remote, source, follower = self.build(
+            follower=StoreOnlyManager(fresh_remote(), "b"))
+        remote.issue_license("lic", POOL)
+        source.flush_now()  # the issue lands, but cannot be synthesised
+        assert follower.store.deltas_skipped == 1
+        assert source._needs_snapshot == {"b": "skipped"}
+        # Nothing was acked on a replica known to be wrong.
+        assert source._acked_seq.get("b", 0) == 0
+        source.snapshot_now()
+        assert source.reconciled["skipped"] == 1
+        assert "lic" in replica_of(follower).licenses
+        assert replica_of(follower).last_seq == source._acked_seq["b"]
+
+    def test_a_follower_that_lost_its_store_is_noticed_when_idle(self):
+        remote, source, follower = self.build()
+        _machine, slid = init_client(remote)
+        source.flush_now()
+        assert str(slid) in replica_of(follower).identity["clients"]
+        follower.store = FollowerStore()  # restarted, silently re-dialled
+        source.snapshot_now()  # no traffic: the empty contact finds it
+        assert source.reconciled["watermark"] == 1
+        assert str(slid) in replica_of(follower).identity["clients"]
+        assert replica_of(follower).last_seq == source._acked_seq["b"]
+
+    def test_a_restarted_follower_never_acks_onto_an_empty_table(self):
+        remote, source, follower = self.build()
+        init_client(remote, name="before")
+        source.flush_now()
+        acked = source._acked_seq["b"]
+        follower.store = FollowerStore()
+        init_client(remote, name="after", nonce=2)
+        source.flush_now()  # applied onto nothing: evidence, not an ack
+        assert source._needs_snapshot == {"b": "watermark"}
+        assert source._acked_seq["b"] == acked
+
+    def test_a_changed_follow_set_is_rebuilt_on_both_sides(self):
+        remote = fresh_remote()
+        loses = ReplicationManager(fresh_remote(), "b")
+        gains = ReplicationManager(fresh_remote(), "c")
+        placement = {"lic": ("b",)}
+        source = ReplicationSource(
+            remote, "a",
+            peers={"b": LocalPeerLink(loses), "c": LocalPeerLink(gains)},
+            followers_for=lambda lid: placement[lid],
+        )
+        source.snapshot_now()
+        remote.issue_license("lic", POOL)
+        source.flush_now()
+        assert "lic" in replica_of(loses).licenses
+        assert "lic" not in replica_of(gains).licenses
+        placement["lic"] = ("c",)
+        source.snapshot_now()
+        assert source.reconciled["follow_set"] == 2
+        assert "lic" in replica_of(gains).licenses
+        assert "lic" not in replica_of(loses).licenses  # no stale copy
+
+    def test_a_route_that_flipped_and_flipped_back_is_still_noticed(self):
+        """b follows, stops following while a grant ships, follows
+        again before any pass: the set a pass sees is unchanged, the
+        replica is not."""
+        placement = {"lic": ("b",)}
+        remote, source, follower = self.build(placement=placement)
+        blob = remote.issue_license("lic", POOL).license_blob()
+        _machine, slid = init_client(remote)
+        source.flush_now()
+        placement["lic"] = ()
+        granted = renew(remote, slid, "lic", blob).granted_units
+        source.flush_now()
+        placement["lic"] = ("b",)
+        source.snapshot_now()
+        ledger = replica_of(follower).licenses["lic"]["ledger"]
+        assert ledger["outstanding"][f"slid:{slid}"] == granted
+
+    def test_a_reply_without_the_evidence_keys_is_no_evidence(self):
+        remote = fresh_remote()
+        peer = RecordingPeer()  # answers {"status": "ok"} to everything
+        source = ReplicationSource(remote, "a", peers={"b": peer},
+                                   followers_for=lambda lid: ["b"])
+        source.snapshot_now()
+        init_client(remote)
+        source.flush_now()
+        source.snapshot_now()
+        assert source._needs_snapshot == {}
+        assert len(peer.of("sync_snapshot")) == 1
+        assert source._acked_seq["b"] == source._seq
+
+    def test_a_snapshot_resets_the_watermark_of_a_restarted_source(self):
+        """A restarted source counts from 0 again: its first snapshot
+        must lower the follower's watermark, or every delta of its new
+        life reads as a replay of the old one."""
+        store = FollowerStore()
+        store.apply_snapshot(snapshot_of(seq=5000))
+        store.apply_snapshot(snapshot_of(seq=3))
+        reply = store.apply_batch(ReplicaBatch(
+            source="a", budget=32, deltas=(
+                ReplicaDelta(4, "grant", {"license_id": "lic",
+                                          "node_key": "slid:1", "units": 8}),
+            )))
+        assert reply["prior_seq"] == 3 and reply["skipped"] == 0
+        record = store._sources["a"].licenses["lic"]
+        assert record["ledger"]["outstanding"]["slid:1"] == 8
+
+    def test_a_grant_cannot_slip_between_the_export_and_the_watermark(self):
+        """The snapshot and its seq are one cut.  A renewal racing the
+        build waits for it and ships as a delta above the watermark; it
+        must not land below it and be dropped as a replay — no later
+        periodic snapshot would put it back."""
+        placement = {"lic": ("b",)}
+        remote, source, follower = self.build(placement=placement)
+        blob = remote.issue_license("lic", POOL).license_blob()
+        _machine, slid = init_client(remote)
+        source.flush_now()
+        race = {}
+        export = remote.export_license_state
+
+        def export_then_race(license_id):
+            record = export(license_id)
+            race["thread"] = threading.Thread(target=lambda: race.update(
+                response=renew(remote, slid, "lic", blob)))
+            race["thread"].start()
+            race["thread"].join(timeout=0.2)  # held off by the cut
+            return record
+
+        remote.export_license_state = export_then_race
+        follower.store = FollowerStore()  # evidence: forces a rebuild
+        source.snapshot_now()
+        del remote.export_license_state
+        race["thread"].join(timeout=5.0)
+        assert not race["thread"].is_alive()
+        assert race["response"].granted_units > 0
+        source.flush_now()
+        ledger = replica_of(follower).licenses["lic"]["ledger"]
+        assert ledger["outstanding"][f"slid:{slid}"] \
+            == race["response"].granted_units
+
+    def test_the_probe_reports_why_peers_were_reconciled(self):
+        follower = ReplicationManager(fresh_remote(), "b")
+        primary = ReplicationManager(
+            fresh_remote(), "a", peers={"b": LocalPeerLink(follower)},
+            followers_for=lambda lid: ["b"],
+            owners_for=lambda lid: ["a", "b"],
+        )
+        init_client(primary.remote)
+        primary.source.snapshot_now()
+        follower.store = FollowerStore()
+        primary.source.snapshot_now()
+        replicates = primary.handle_probe()["replicates"]
+        assert replicates["snapshots_sent"] == 2
+        assert replicates["reconciled"] == {
+            "cold": 1, "skipped": 0, "watermark": 1, "follow_set": 0}
+
+
+# ----------------------------------------------------------------------
+# The steady state: O(what changed), one frame per peer, no introspection
+# ----------------------------------------------------------------------
+class CountingLink(LocalPeerLink):
+    def __init__(self, manager):
+        super().__init__(manager)
+        self.methods = []
+
+    def call(self, method, payload):
+        self.methods.append(method)
+        return super().call(method, payload)
+
+
+class TestSteadyStateCost:
+    def test_a_pass_over_warm_peers_touches_no_table(self, monkeypatch):
+        remote = fresh_remote()
+        links = {name: CountingLink(ReplicationManager(fresh_remote(), name))
+                 for name in ("b", "c")}
+        source = ReplicationSource(
+            remote, "a", peers=links, followers_for=lambda lid: ["b"])
+        blob = remote.issue_license("lic", POOL).license_blob()
+        machine, slid = init_client(remote)
+        for extra in range(2, 501):
+            remote.handle_admit(extra)
+        source.snapshot_now()  # cold -> warm, the one O(table) build
+        exports = []
+        for name in ("export_identity", "export_license_state"):
+            original = getattr(remote, name)
+            monkeypatch.setattr(
+                remote, name,
+                lambda *args, _name=name, _original=original:
+                    exports.append(_name) or _original(*args))
+        for link in links.values():
+            link.methods.clear()
+        for round_ in range(10):
+            remote.handle_admit(501 + round_)  # traffic keeps flowing
+            renew(remote, slid, "lic", blob)
+            remote.return_units(slid, "lic", 1)
+            source.flush_now()
+            for link in links.values():
+                link.methods.clear()
+            source.snapshot_now()
+            assert [link.methods for link in links.values()] \
+                == [["replicate"], ["replicate"]]
+        assert exports == []
+        assert source.snapshots_sent == 2  # the warm-up, nothing since
+        assert len(replica_of(links["c"].manager).identity["clients"]) == 510
+
+    def test_local_links_resolve_their_handlers_once(self, monkeypatch):
+        import inspect
+
+        calls = {"extra_handlers": 0, "signature": 0}
+        extra_handlers = ReplicationManager.extra_handlers
+        signature = inspect.signature
+
+        def counting_extra_handlers(self):
+            calls["extra_handlers"] += 1
+            return extra_handlers(self)
+
+        def counting_signature(*args, **kwargs):
+            calls["signature"] += 1
+            return signature(*args, **kwargs)
+
+        follower = ReplicationManager(
+            fresh_remote(), "b", peers={"a": RecordingPeer()},
+            followers_for=lambda lid: ["a"],
+            owners_for=lambda lid: ["b", "a"], quorum=1,
+        )
+        monkeypatch.setattr(ReplicationManager, "extra_handlers",
+                            counting_extra_handlers)
+        monkeypatch.setattr(inspect, "signature", counting_signature)
+        link = LocalPeerLink(None)  # the way sharding.py builds them
+        link.manager = follower
+        batch = ReplicaBatch(source="a", budget=32, deltas=())
+        for _ in range(1000):
+            assert link.call("replicate", batch)["status"] == "ok"
+        assert calls["extra_handlers"] <= 1
+        assert calls["signature"] == 0
+
+
+# ----------------------------------------------------------------------
+# What must not change: the quorum rule, its tail bound, the fence
+# ----------------------------------------------------------------------
+class HungPeer(PeerLink):
+    """A network peer whose every call blocks for ``delay`` seconds
+    (or until the test lets go of it)."""
+
+    def __init__(self, delay):
+        self.delay = delay
+        self.let_go = threading.Event()
+
+    def call(self, method, payload):
+        self.let_go.wait(timeout=self.delay)
+        return {"status": "ok"}
+
+
+class WithholdingLink(PeerLink):
+    """A network link (not in-process: the flusher ships) that pauses
+    the first delta-carrying batch until ``proceed`` and withholds the
+    ack of anything above ``hold_above`` until ``release``."""
+
+    def __init__(self, manager):
+        self.inner = LocalPeerLink(manager)
+        self.hold_above = None
+        self.shipping = threading.Event()
+        self.proceed = threading.Event()
+        self.release = threading.Event()
+
+    def call(self, method, payload):
+        if method == "replicate" and payload.deltas:
+            if not self.shipping.is_set():
+                self.shipping.set()
+                assert self.proceed.wait(timeout=10.0)
+            elif payload.deltas[-1].seq > self.hold_above:
+                assert self.release.wait(timeout=10.0)
+        return self.inner.call(method, payload)
+
+
+class TestQuorumRuleUnchanged:
+    def init_request(self, name):
+        machine = SgxMachine(name)
+        report = machine.local_authority.generate_report(1, 1, nonce=1)
+        return machine, InitRequest(slid=None, report=report,
+                                    platform_secret=machine.platform_secret)
+
+    def test_a_gated_init_returns_only_once_the_follower_holds_it(self):
+        """Flusher running, two request threads: each ack leaves after
+        the follower store holds that admit, and the follower applied
+        the stream in seq order whichever thread shipped it."""
+        follower = ReplicationManager(fresh_remote(), "b")
+        applied = []
+        apply_batch = follower.store.apply_batch
+
+        def recording_apply(batch, **kwargs):
+            applied.extend(delta.seq for delta in batch.deltas)
+            return apply_batch(batch, **kwargs)
+
+        follower.store.apply_batch = recording_apply
+        primary = ReplicationManager(
+            fresh_remote(), "a", peers={"b": LocalPeerLink(follower)},
+            followers_for=lambda lid: ["b"],
+            owners_for=lambda lid: ["a", "b"], quorum=1,
+        )
+        init = primary.extra_handlers()["init"]
+        primary.source.snapshot_now()  # warm: every admit rides a batch
+        failures = []
+
+        def enroll(lane):
+            for index in range(40):
+                machine, request = self.init_request(f"lane{lane}-{index}")
+                response = init(request, machine.clock, machine.stats)
+                clients = follower.store.identity_of("a")["clients"]
+                if str(response.slid) not in clients:
+                    failures.append(response.slid)
+
+        primary.start()
+        try:
+            lanes = [threading.Thread(target=enroll, args=(lane,))
+                     for lane in range(2)]
+            for lane in lanes:
+                lane.start()
+            for lane in lanes:
+                lane.join(timeout=30.0)
+                assert not lane.is_alive()
+        finally:
+            primary.stop()
+        assert failures == []
+        assert primary.quorum_timeouts == 0
+        assert applied == sorted(applied) and len(applied) == 80
+
+    def test_a_hung_network_peer_cannot_stretch_the_quorum_timeout(self):
+        peer = HungPeer(delay=3.0)
+        assert peer.in_process is False
+        primary = ReplicationManager(
+            fresh_remote(), "a", peers={"b": peer},
+            followers_for=lambda lid: ["b"],
+            owners_for=lambda lid: ["a", "b"],
+            quorum=1, quorum_timeout=0.2, snapshot_interval=30.0,
+        )
+        primary.start()
+        try:
+            machine, request = self.init_request("q-hung")
+            started = time.monotonic()
+            response = primary.extra_handlers()["init"](request, machine.clock,
+                                           machine.stats)
+            elapsed = time.monotonic() - started
+        finally:
+            peer.let_go.set()
+            primary.stop()
+        assert response.status is Status.OK
+        assert elapsed < 0.2 + 0.5  # the waiter never made the call
+        assert primary.quorum_timeouts == 1
+
+    def test_a_waiter_does_not_wait_for_later_enrolments(self):
+        """The watermark is read once, on entry: a second connection's
+        identity write — appended behind the first, its ack withheld —
+        must not hold the first waiter's ack."""
+        link = WithholdingLink(ReplicationManager(fresh_remote(), "b"))
+        remote = fresh_remote()
+        source = ReplicationSource(
+            remote, "a", peers={"b": link}, followers_for=lambda lid: ["b"],
+            flush_interval=30.0, snapshot_interval=60.0,
+        )
+        source.start()  # the flusher warms the peer, then sleeps
+        acked = []
+        waiter = threading.Thread(target=lambda: acked.append(
+            source.wait_identity_quorum(1, timeout=5.0)))
+        try:
+            deadline = time.monotonic() + 5.0
+            while source._needs_snapshot:
+                assert time.monotonic() < deadline, "peer never warmed"
+                time.sleep(0.005)
+            init_client(remote, name="first")
+            link.hold_above = source._identity_seq
+            waiter.start()
+            # Only the waiter wakes this flusher, and only after it
+            # read its watermark: the first batch is now mid-flight.
+            assert link.shipping.wait(timeout=5.0)
+            init_client(remote, name="second", nonce=2)
+            link.proceed.set()
+            waiter.join(timeout=2.0)
+            assert not waiter.is_alive(), \
+                "held for an identity write made after its own"
+            assert acked == [True]
+            assert source._acked_seq["b"] == link.hold_above
+        finally:
+            link.proceed.set()
+            link.release.set()
+            waiter.join(timeout=10.0)
+            source.stop()
+
+    def test_an_idle_fenced_source_learns_it_within_two_passes(self):
+        remote = fresh_remote()
+        follower = ReplicationManager(fresh_remote(), "b")
+        source = ReplicationSource(
+            remote, "a", peers={"b": LocalPeerLink(follower)},
+            followers_for=lambda lid: ["b"],
+        )
+        remote.issue_license("lic", POOL)
+        source.snapshot_now()
+        assert source.grant_headroom("lic") > 0
+        follower.handle_promote({"source": "a", "epoch": 3})
+        for _ in range(2):  # no client traffic, no deltas
+            source.snapshot_now()
+        assert source.grant_headroom("lic") == 0
+        assert source._fenced == {"b": 3}
 
 
 # ----------------------------------------------------------------------
