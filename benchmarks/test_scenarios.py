@@ -145,7 +145,7 @@ def _spawn_fleet(ports, pool, admission, autotune, quorum=0):
         for index, port in enumerate(ports):
             command = [
                 "serve-remote", "--port", str(port), "--accept-any-platform",
-                "--shard-of", f"{index}:{len(ports)}", "--io", "async",
+                "--shard-of", f"{index}:{len(ports)}",
                 *licenses,
                 "--replicas", str(REPLICAS), "--quorum", str(quorum),
                 "--fleet", fleet,

@@ -395,19 +395,12 @@ def cmd_serve_remote(args) -> int:
               f"({kind.value})", flush=True)
 
     extra_handlers = manager.extra_handlers() if manager is not None else None
-    if args.io == "async":
-        from repro.net.aio import AsyncLeaseServer
+    from repro.net.aio import AsyncLeaseServer
 
-        server = AsyncLeaseServer(remote, host=args.host, port=args.port,
-                                  max_workers=args.max_workers,
-                                  max_connections=args.max_connections,
-                                  extra_handlers=extra_handlers)
-    else:
-        from repro.net.server import LeaseServer
-
-        server = LeaseServer(remote, host=args.host, port=args.port,
-                             max_connections=args.max_connections,
-                             extra_handlers=extra_handlers)
+    server = AsyncLeaseServer(remote, host=args.host, port=args.port,
+                              max_workers=args.max_workers,
+                              max_connections=args.max_connections,
+                              extra_handlers=extra_handlers)
     if manager is not None:
         # Standalone shard: the manager (not the remote) holds the
         # replication health that _server_stats surfaces.
@@ -683,15 +676,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--wire", type=int, choices=(3,), default=3,
                               help="the one wire format; accepted only "
                                    "because bench/harness.py passes it")
-    serve_parser.add_argument("--io", choices=("threads", "async"),
-                              default="threads",
-                              help="connection model: one thread per "
-                                   "connection ('threads') or a bounded "
-                                   "leader/followers pool sharing one "
-                                   "selector, where the thread that sees a "
-                                   "socket readable answers it ('async')")
+    serve_parser.add_argument("--io", choices=("async",), default="async",
+                              help="the one connection model; accepted only "
+                                   "because bench/harness.py passes it")
     serve_parser.add_argument("--max-workers", type=int, default=8,
-                              help="serving-pool cap for --io async: "
+                              help="serving-pool cap: "
                                    "handlers that may block at once (fsync, "
                                    "quorum wait, license lock) plus one to "
                                    "watch the sockets; threads start on "

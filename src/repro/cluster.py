@@ -77,10 +77,10 @@ class Cluster:
         #: ``"in-process"``/``"serialized"`` are the deterministic
         #: loopbacks (results must be identical — the serialized backend
         #: just proves the tiers share no objects); ``"tcp"``/``"async"``
-        #: put a real wire server in front of the same remote and drive
-        #: it over actual sockets (threaded vs selector-pool serving), so
-        #: protocol outcomes must still match while client clocks pick
-        #: up real-wire accounting instead.
+        #: put the wire server in front of the same remote and drive it
+        #: over actual sockets (the strict-ordered vs the pipelining
+        #: client), so protocol outcomes must still match while client
+        #: clocks pick up real-wire accounting instead.
         self.transport = transport
         self.shards = shards
         self.ras = RemoteAttestationService(costs)
@@ -108,14 +108,9 @@ class Cluster:
         if endpoint is not None:
             pass  # nodes dial the given endpoint; no server is spawned
         elif transport in ("tcp", "async"):
-            if transport == "async":
-                from repro.net.aio import AsyncLeaseServer
+            from repro.net.aio import AsyncLeaseServer
 
-                self._wire_server = AsyncLeaseServer(self.remote)
-            else:
-                from repro.net.server import LeaseServer
-
-                self._wire_server = LeaseServer(self.remote)
+            self._wire_server = AsyncLeaseServer(self.remote)
             self._wire_server.start()
         elif transport not in ("in-process", "serialized"):
             raise ValueError(f"unknown cluster transport {transport!r}")

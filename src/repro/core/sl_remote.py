@@ -14,9 +14,9 @@ Responsibilities (Sections 5.1-5.3, 5.6-5.7):
 Concurrency model
 -----------------
 SL-Remote is safe for concurrent dispatch: the wire server
-(:mod:`repro.net.server`) calls handlers from one thread per connection
-without any global serialization.  State is partitioned so renewals for
-*different* licenses never contend:
+(:mod:`repro.net.aio`) calls handlers from up to ``max_workers`` pool
+threads at once without any global serialization.  State is
+partitioned so renewals for *different* licenses never contend:
 
 * every license's definition + ledger live in one
   :class:`LicenseShardState` record guarded by its own re-entrant lock;

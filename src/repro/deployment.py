@@ -137,9 +137,10 @@ class SecureLeaseDeployment:
             network if network is not None else NetworkConditions(),
             self.rng.fork("net"),
         )
-        #: ``"tcp"``/``"async"`` front the same remote with a real wire
-        #: server (threaded vs selector pool) and connect the machine over
-        #: an actual socket; protocol outcomes must match the loopbacks.
+        #: ``"tcp"``/``"async"`` front the same remote with the wire
+        #: server and connect the machine over an actual socket (the
+        #: strict-ordered vs the pipelining client); protocol outcomes
+        #: must match the loopbacks.
         self._wire_server = None
         if endpoint is not None:
             # An explicit endpoint URL wins over the legacy transport
@@ -151,14 +152,9 @@ class SecureLeaseDeployment:
                 self.endpoint = connect(endpoint,
                                         conditions=self.link.conditions)
         elif transport in ("tcp", "async"):
-            if transport == "async":
-                from repro.net.aio import AsyncLeaseServer
+            from repro.net.aio import AsyncLeaseServer
 
-                self._wire_server = AsyncLeaseServer(self.remote)
-            else:
-                from repro.net.server import LeaseServer
-
-                self._wire_server = LeaseServer(self.remote)
+            self._wire_server = AsyncLeaseServer(self.remote)
             self._wire_server.start()
             io = "async" if transport == "async" else "threads"
             self.endpoint = connect(

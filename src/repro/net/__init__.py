@@ -18,10 +18,10 @@ package supplies:
 * a typed transport error hierarchy (:mod:`repro.net.errors`),
 * an RPC endpoint dispatching protocol messages to SL-Remote handlers
   (:mod:`repro.net.rpc`),
-* a socket server for running SL-Remote as its own process
-  (:mod:`repro.net.server`),
-* a leader/followers server and a pipelining, correlation-tagged client for
-  fleets of mostly-idle connections (:mod:`repro.net.aio`),
+* the socket server that runs SL-Remote as its own process — a
+  leader/followers pool on one selector, built for fleets of mostly-idle
+  connections — and a pipelining, correlation-tagged client
+  (:mod:`repro.net.aio`),
 * consistent-hash sharding of the license ledgers across N servers with
   a routing layer (:mod:`repro.net.sharding`), and
 * a quorum control plane: depth-K follower replication of shard state
@@ -59,7 +59,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ShardSnapshot": "repro.net.replication",
     "RemoteEndpoint": "repro.net.rpc",
     "RpcError": "repro.net.rpc",
-    "LeaseServer": "repro.net.server",
     "RenewalHealth": "repro.net.stats",
     "ReplicationHealth": "repro.net.stats",
     "ServerStats": "repro.net.stats",

@@ -99,17 +99,16 @@ class _Connection:
 class AsyncLeaseServer:
     """Serve one SL-Remote (or a sharded fleet) from a leader/followers pool.
 
-    API-compatible with :class:`~repro.net.server.LeaseServer` —
-    ``start()/stop()/wait()``, the same counters, the same handler
-    dispatch with the server-owned clock/stats — so every wiring point
-    (CLI, cluster, benchmarks) can switch IO backends with one knob.
+    The one lease server: ``start()/stop()/wait()``, the serving
+    counters, and handler dispatch with the server-owned clock/stats
+    behind every wiring point (CLI, cluster, deployment, benchmarks).
 
     ``max_workers`` caps the pool; threads are spawned as load demands,
     one waits in ``select()`` and the rest answer requests (contending
     only on per-license locks).  Size it to the handlers that may
     *block* at once (fsync, quorum wait, a contended license) plus one
     to watch the sockets.  ``max_connections`` sheds accepts beyond the
-    cap with the same typed error envelope as the threaded server.
+    cap with a typed error envelope (:func:`~repro.net.stats.overload_frame`).
     """
 
     def __init__(self, remote, host: str = "127.0.0.1", port: int = 0,
@@ -152,7 +151,7 @@ class AsyncLeaseServer:
         self._ready: Deque[Tuple[Callable, _Connection]] = deque()
         self._selector: Optional[selectors.BaseSelector] = None
         self._stopping = threading.Event()
-        attach_server_stats(self.handlers, self, io_name="async")
+        attach_server_stats(self.handlers, self)
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> Tuple[str, int]:
@@ -181,11 +180,6 @@ class AsyncLeaseServer:
     @property
     def address(self) -> Tuple[str, int]:
         return self.host, self.port
-
-    @property
-    def live_workers(self) -> int:
-        """Serving-pool upper bound (there is no thread per connection)."""
-        return self.max_workers
 
     @property
     def open_connections(self) -> int:
@@ -274,7 +268,7 @@ class AsyncLeaseServer:
             sock.settimeout(SEND_TIMEOUT_SECONDS)
             if (self.max_connections is not None
                     and self.open_connections >= self.max_connections):
-                # Same typed brush-off as the threaded server's accept cap.
+                # Over the cap: one typed error envelope, then close.
                 with self._counters_lock:
                     self.connections_shed += 1
                 with contextlib.suppress(OSError):

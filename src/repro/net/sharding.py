@@ -23,7 +23,7 @@ routes the lease protocol so the fleet behaves like a single server:
 * :class:`ShardedRemote` — N in-process shards behind the standard
   ``protocol_handlers()`` surface; a drop-in for ``SlRemote`` anywhere
   a remote is wired (``Cluster``, ``SecureLeaseDeployment``,
-  ``LeaseServer``).  ``replicas=1`` wires a
+  ``AsyncLeaseServer``).  ``replicas=1`` wires a
   :class:`~repro.net.replication.ReplicationManager` per shard over
   in-process peer links.
 * :class:`ShardRouterTransport` — the client-side router over N
@@ -682,7 +682,7 @@ class ShardedRemote:
 
     Duck-types the ``SlRemote`` surface every wiring point uses —
     ``protocol_handlers()``, provisioning, ledger probes — so a
-    :class:`~repro.net.server.LeaseServer`, a
+    :class:`~repro.net.aio.AsyncLeaseServer`, a
     :class:`~repro.cluster.Cluster`, or a deployment can swap it in
     with a ``shards=N`` knob.  Per-license locking inside each shard
     plus the partitioning here means concurrent renewals contend only
@@ -867,7 +867,8 @@ class ShardedRemote:
                 manager.source.flush_now()
 
     def snapshot_now(self) -> None:
-        """Run one anti-entropy snapshot pass on every shard."""
+        """Run one reconciliation pass on every shard: an empty batch to
+        each warm peer, a rebuild for each peer with evidence against it."""
         for manager in self.managers.values():
             if manager.source is not None:
                 manager.source.snapshot_now()

@@ -175,7 +175,7 @@ class ServerStats:
     fleet.
     """
 
-    io: str = "threads"
+    io: str = "async"
     requests_served: int = 0
     errors_returned: int = 0
     connections_accepted: int = 0
@@ -212,7 +212,7 @@ class ServerStats:
         replication = fields.get("replication")
         exhausted = fields.get("exhausted_served")
         return cls(
-            io=str(fields.get("io", "threads")),
+            io=str(fields.get("io", "async")),
             requests_served=int(fields.get("requests_served", 0)),
             errors_returned=int(fields.get("errors_returned", 0)),
             connections_accepted=int(fields.get("connections_accepted", 0)),
@@ -319,13 +319,12 @@ class WireStats:
             }
 
 
-def attach_server_stats(handlers: HandlerTable, server, io_name: str) -> None:
+def attach_server_stats(handlers: HandlerTable, server) -> None:
     """Register the ``_server_stats`` introspection method on a server.
 
-    Benchmarks and operators probe it over the wire to compare IO
-    backends — most importantly ``resident_threads``, the number every
-    idle connection inflates on the threaded server and the selector
-    server keeps flat — and the codec counters that price each renewal
+    Benchmarks and operators probe it over the wire for the serving
+    counters — ``resident_threads`` among them, which idle connections
+    must not inflate — and the codec counters that price each renewal
     in actual bytes.  When the served remote
     replicates, the report carries the quorum control plane's health:
     per-peer ack lag, the current promotion epoch, the configured
@@ -334,12 +333,12 @@ def attach_server_stats(handlers: HandlerTable, server, io_name: str) -> None:
     """
     def _server_stats(_request, clock: Optional[Clock] = None,
                       stats: Optional[SgxStats] = None):
-        return build_server_stats(server, io_name).to_wire()
+        return build_server_stats(server).to_wire()
 
     handlers.register("_server_stats", _server_stats)
 
 
-def build_server_stats(server, io_name: str) -> ServerStats:
+def build_server_stats(server) -> ServerStats:
     """Assemble the typed :class:`ServerStats` report.
 
     The sections come back from the served remote as the historical
@@ -368,7 +367,6 @@ def build_server_stats(server, io_name: str) -> ServerStats:
         except Exception:  # noqa: BLE001 - stats must never fail a probe
             pass
     return ServerStats(
-        io=io_name,
         requests_served=server.requests_served,
         errors_returned=server.errors_returned,
         connections_accepted=server.connections_accepted,

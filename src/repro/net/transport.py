@@ -12,7 +12,7 @@ through a :class:`Transport`, so the *same* SL-Local code runs against:
   network — shared object identity, unserializable fields — breaks
   loudly here, while determinism is fully preserved.
 * :class:`TcpTransport` — a real socket client for an SL-Remote served
-  by :class:`repro.net.server.LeaseServer` in another process, with
+  by :class:`repro.net.aio.AsyncLeaseServer` in another process, with
   length-prefixed CRC-checked binary frames, request timeouts, and
   retry-with-backoff.
   Each attempt still charges one RTT of *virtual* time to the caller's
@@ -316,7 +316,8 @@ class RenewCoalescer:
 
 
 class TcpTransport(Transport):
-    """Socket client for an SL-Remote behind :class:`~repro.net.server.LeaseServer`.
+    """Strict-ordered socket client for an SL-Remote behind
+    :class:`~repro.net.aio.AsyncLeaseServer`.
 
     One persistent connection, length-prefixed binary frames
     (:mod:`repro.net.codec`).  A request that times out or hits a

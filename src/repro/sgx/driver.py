@@ -80,9 +80,8 @@ class SgxStats:
 class ThreadSafeSgxStats(SgxStats):
     """An :class:`SgxStats` whose increments are atomic under threads.
 
-    The wire servers (:mod:`repro.net.server`, :mod:`repro.net.aio`)
-    hand one shared stats object to handlers running on many dispatch
-    threads at once.  The counters stay observability-only — a lost
+    The wire server (:mod:`repro.net.aio`) hands one shared stats
+    object to handlers running on many dispatch threads at once.  The counters stay observability-only — a lost
     increment never affects protocol state — but the benchmark reports
     read them, and an unlocked ``+=`` under an 8-thread renewal storm
     silently undercounts.  Locking lives here so the single-threaded

@@ -76,8 +76,8 @@ class ThreadSafeClock(Clock):
     """A :class:`Clock` whose advancement is safe under real threads.
 
     The simulation is single-threaded and keeps the lock-free base
-    class; the wire server (:mod:`repro.net.server`) dispatches handlers
-    from many connection threads that all charge the *same* server-owned
+    class; the wire server (:mod:`repro.net.aio`) dispatches handlers
+    from many pool threads that all charge the *same* server-owned
     clock, where the unlocked read-modify-write of ``advance`` would
     lose cycles.
     """

@@ -1,7 +1,7 @@
 """Tests for replay attacks on SL-Local (Sections 5.7 / 6.2).
 
 Every attack runs twice: once over the simulated in-process link and
-once over a real TCP socket to a live :class:`LeaseServer` — the
+once over a real TCP socket to a live :class:`AsyncLeaseServer` — the
 defenses are server-side policy, so the transport must not matter.
 """
 
@@ -22,7 +22,7 @@ from repro.sim.rng import DeterministicRng
 def attack_target(request):
     """Factory building (remote, local, manager) over either transport.
 
-    TCP targets run against a real :class:`LeaseServer` on a live
+    TCP targets run against a real :class:`AsyncLeaseServer` on a live
     socket; the fixture owns the servers' lifecycle so every test body
     reads the same for both transports.
     """
@@ -36,9 +36,9 @@ def attack_target(request):
         machine = SgxMachine("attacker-box")
         ras.register_platform(machine.platform_secret)
         if request.param == "tcp":
-            from repro.net.server import LeaseServer
+            from repro.net.aio import AsyncLeaseServer
 
-            server = LeaseServer(remote, port=0)
+            server = AsyncLeaseServer(remote, port=0)
             server.start()
             servers.append(server)
             host, port = server.address

@@ -45,7 +45,7 @@ class TestParser:
         the retired formats are usage errors, and the client commands
         lost the flag altogether."""
         parser = build_parser()
-        command = ["serve-remote", "--io", "async", "--wire"]
+        command = ["serve-remote", "--wire"]
         assert parser.parse_args(command + ["3"]).wire == 3
         for retired in ("1", "2"):
             with pytest.raises(SystemExit):
@@ -54,6 +54,18 @@ class TestParser:
             with pytest.raises(SystemExit):
                 parser.parse_args(client + ["--wire", "3"])
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_io_flag_has_one_legal_value(self, capsys):
+        """``serve-remote --io async --wire 3`` is bench/harness.py's
+        command line and still parses; the thread-per-connection server
+        is gone, so ``--io threads`` is a usage error."""
+        parser = build_parser()
+        args = parser.parse_args(["serve-remote", "--io", "async",
+                                  "--wire", "3"])
+        assert (args.io, args.wire) == ("async", 3)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve-remote", "--io", "threads"])
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
 
     def test_simulated_commit_flags_are_gone(self, capsys):
         """The commit is the WAL's fsync; the sleep that stood in for

@@ -31,11 +31,11 @@ from repro.sim.rng import DeterministicRng
 
 MARKER = "SL-Remote listening on "
 
-#: Executed by no serve-remote shape (``--io async``, as bench/ runs it).
+#: Executed by no serve-remote shape.
 NEVER = ("networkx", "asyncio", "scipy", "repro.cluster", "repro.deployment",
          "repro.workloads", "repro.partition", "repro.callgraph",
          "repro.attacks", "repro.experiments", "repro.redteam", "repro.vcpu",
-         "repro.core.sl_local", "repro.net.server")
+         "repro.core.sl_local")
 NOT_IN_MEMORY = ("repro.storage.wal", "repro.net.sharding",
                  "repro.net.replication")
 
@@ -67,7 +67,7 @@ def test_serve_remote_import_closure(shape, tmp_path, src_env):
         [src_env["PYTHONPATH"], *filter(None, sys.path)]))
     with open(log_path, "wb") as log, subprocess.Popen(
             [sys.executable, "-S", "-X", "importtime", "-m", "repro.cli",
-             "serve-remote", "--port", "0", "--io", "async",
+             "serve-remote", "--port", "0",
              "--license", "lic-wire:50000", "--accept-any-platform",
              *(arg.format(tmp=tmp_path) for arg in extra)],
             stdout=subprocess.PIPE, stderr=log, env=env,

@@ -280,7 +280,7 @@ def test_sigterm_is_a_clean_stop(tmp_path):
     from repro.storage.wal import WriteAheadLog, derive_wal_key64
 
     data, anchors = tmp_path / "ledger", tmp_path / "anchors"
-    args = ["--io", "async", "--data-dir", str(data),
+    args = ["--data-dir", str(data),
             "--anchor-dir", str(anchors), "--fsync", "interval"]
 
     process = _spawn_serve_remote(args)

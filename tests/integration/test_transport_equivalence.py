@@ -67,11 +67,11 @@ def test_deployment_identical_across_transports():
 # ----------------------------------------------------------------------
 # Real-wire backends: identical protocol outcomes over actual sockets
 # ----------------------------------------------------------------------
-# The "tcp" and "async" backends serve the same remote through a real
-# server (threaded vs event-loop).  Client clocks and stats diverge by
-# design — remote-attestation time lands on the server's clock over a
-# real wire — so the equivalence contract is the *protocol outcome*:
-# who got how many units, what the ledger says, what was lost.
+# The "tcp" and "async" backends serve the same remote through the wire
+# server (strict-ordered vs pipelining client).  Client clocks and stats
+# diverge by design — remote-attestation time lands on the server's
+# clock over a real wire — so the equivalence contract is the *protocol
+# outcome*: who got how many units, what the ledger says, what was lost.
 
 def wire_fleet_fingerprint(transport: str, seed: int = 17, shards: int = 1):
     """A fixed fleet scenario reduced to protocol outcomes only.
@@ -124,15 +124,15 @@ def test_sharded_fleet_identical_across_wire_backends():
 def socket_client_fingerprint(query: str, seed: int = 17):
     """The wire fleet scenario with every node dialing ``sl://...?query``.
 
-    The server side is a stock :class:`LeaseServer`; the query string
+    The server side is a stock :class:`AsyncLeaseServer`; the query string
     sets client knobs (here, a renewal batch window), so each row
     checks that such a client reaches the same protocol outcome as the
     plain one.
     """
-    from repro.net.server import LeaseServer
+    from repro.net.aio import AsyncLeaseServer
 
     cluster = Cluster(seed=seed, endpoint="pending")
-    server = LeaseServer(cluster.remote)
+    server = AsyncLeaseServer(cluster.remote)
     host, port = server.start()
     suffix = f"?{query}" if query else ""
     cluster.endpoint = f"sl://{host}:{port}{suffix}"

@@ -25,7 +25,6 @@ from repro.net import codec
 from repro.net.aio import AsyncLeaseServer
 from repro.net.endpoint import connect
 from repro.net.replication import ReplicaBatch, ReplicaDelta, ShardSnapshot
-from repro.net.server import LeaseServer
 from repro.net import stats as _stats  # noqa: F401 - registers its messages
 from repro.net.sharding import HashRing, default_shard_names
 from repro.net.transport import read_frame
@@ -634,8 +633,7 @@ def _list_keyed_map_frame() -> bytes:
 
 
 class TestLiveServersSpeakOneFormat:
-    @pytest.mark.parametrize("server_cls", [LeaseServer, AsyncLeaseServer],
-                             ids=["threads", "async"])
+    @pytest.mark.parametrize("server_cls", [AsyncLeaseServer], ids=["async"])
     def test_old_format_frames_earn_typed_v3_errors(self, server_cls):
         """A v2-JSON request and a frame with a wrong magic byte are
         each answered with a v3 error envelope naming the CodecError,
@@ -671,8 +669,7 @@ class TestLiveServersSpeakOneFormat:
         finally:
             server.stop()
 
-    @pytest.mark.parametrize("server_cls", [LeaseServer, AsyncLeaseServer],
-                             ids=["threads", "async"])
+    @pytest.mark.parametrize("server_cls", [AsyncLeaseServer], ids=["async"])
     def test_unhashable_map_key_is_a_codec_error(self, server_cls):
         """A CRC-valid frame whose map is keyed by a list is a typed
         rejection, not a ``TypeError`` that kills the connection: the
@@ -712,7 +709,8 @@ class TestLiveServersSpeakOneFormat:
                 license_id, 10_000
             ).license_blob()
         assert len({ring.shard_for(lid) for lid in blobs}) == 2
-        servers = {name: LeaseServer(remotes[name], port=0) for name in names}
+        servers = {name: AsyncLeaseServer(remotes[name], port=0)
+                   for name in names}
         authority = ",".join(
             "{}:{}".format(*servers[name].start()) for name in names
         )

@@ -14,8 +14,8 @@ from repro.core.licensefile import VENDOR_SECRET, mint_license_blob
 from repro.core.protocol import InitRequest, RenewRequest, Status
 from repro.core.sl_remote import SlRemote
 from repro.net import codec
+from repro.net.aio import AsyncLeaseServer
 from repro.net.endpoint import connect
-from repro.net.server import LeaseServer
 from repro.redteam.proxy import CaptureProxy, CapturedFrame, inject_frames
 from repro.sgx import RemoteAttestationService, SgxMachine
 from repro.sim.clock import Clock
@@ -28,7 +28,7 @@ def live_capture():
     """A live server plus one v3 renewal frame captured off the wire."""
     remote = SlRemote(RemoteAttestationService(accept_any_platform=True))
     remote.issue_license(LICENSE, 1_000_000)
-    server = LeaseServer(remote, port=0)
+    server = AsyncLeaseServer(remote, port=0)
     server.start()
     host, port = server.address
     with CaptureProxy(host, port) as tap:

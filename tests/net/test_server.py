@@ -1,4 +1,5 @@
-"""LeaseServer + TcpTransport: the lease protocol over real sockets."""
+"""AsyncLeaseServer + TcpTransport: the strict-ordered client over real
+sockets."""
 
 import threading
 
@@ -9,10 +10,10 @@ from repro.core.sl_local import SlLocal
 from repro.core.sl_manager import SlManager
 from repro.core.sl_remote import SlRemote
 from repro.crypto.keys import KeyGenerator
+from repro.net.aio import AsyncLeaseServer
 from repro.net.endpoint import connect
 from repro.net.network import NetworkConditions
 from repro.net.rpc import RpcError
-from repro.net.server import LeaseServer
 from repro.sgx import RemoteAttestationService, SgxMachine
 from repro.sim.clock import seconds_to_cycles
 from repro.sim.rng import DeterministicRng
@@ -23,14 +24,14 @@ def server():
     ras = RemoteAttestationService(accept_any_platform=True)
     remote = SlRemote(ras)
     remote.issue_license("lic-tcp", 50_000)
-    srv = LeaseServer(remote, port=0)
+    srv = AsyncLeaseServer(remote, port=0)
     srv.start()
     yield srv
     srv.stop()
 
 
 def dial(host, port, **overrides):
-    """A threaded-TCP endpoint for one server address."""
+    """A strict-ordered TCP endpoint for one server address."""
     return connect(f"sl://{host}:{port}", **overrides)
 
 
@@ -182,29 +183,6 @@ class TestConcurrentDispatch:
         outstanding = sum(ledger.outstanding.values())
         assert sum(granted) == outstanding  # every wire grant is tracked
         assert outstanding + ledger.lost_units + ledger.available == 50_000
-
-    def test_connection_threads_are_reaped(self, server):
-        """Closed connections leave the worker list: it tracks live
-        connections, not every connection ever accepted."""
-        for index in range(8):
-            endpoint = dial(*server.address)
-            machine = SgxMachine(f"churn-{index}")
-            with pytest.raises(RpcError):
-                endpoint.call("warp", None, clock=machine.clock)
-            endpoint.close()
-        # One live connection forces a pass over the reap logic.
-        last = dial(*server.address)
-        machine = SgxMachine("churn-last")
-        with pytest.raises(RpcError):
-            last.call("warp", None, clock=machine.clock)
-        deadline = 50
-        while server.live_workers > 1 and deadline:
-            threading.Event().wait(0.05)
-            deadline -= 1
-        assert server.live_workers <= 1
-        with server._workers_lock:
-            assert len(server._workers) <= 2  # reaped, not accumulated
-        last.close()
 
 
 class TestTypedStatusesOverTheWire:

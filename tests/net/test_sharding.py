@@ -8,9 +8,9 @@ from repro.core.sl_local import SlLocal
 from repro.core.sl_manager import SlManager
 from repro.core.sl_remote import SlRemote
 from repro.crypto.keys import KeyGenerator
+from repro.net.aio import AsyncLeaseServer
 from repro.net.endpoint import connect, endpoint_for
 from repro.net.network import NetworkConditions, SimulatedLink
-from repro.net.server import LeaseServer
 from repro.net.sharding import (
     HashRing,
     ShardedRemote,
@@ -302,7 +302,7 @@ class TestShardedRemoteAsDropIn:
 
 
 # ----------------------------------------------------------------------
-# The wire-level fleet: N LeaseServers, one routed client
+# The wire-level fleet: N lease servers, one routed client
 # ----------------------------------------------------------------------
 class TestShardedTcp:
     @pytest.fixture()
@@ -319,7 +319,7 @@ class TestShardedTcp:
             blobs[license_id] = remotes[owner].issue_license(
                 license_id, POOL
             ).license_blob()
-        servers = [LeaseServer(remotes[name], port=0) for name in names]
+        servers = [AsyncLeaseServer(remotes[name], port=0) for name in names]
         for server in servers:
             server.start()
         try:

@@ -95,7 +95,7 @@ class TestWireRoundTrips:
 
 
 # ----------------------------------------------------------------------
-# The CLI verb against live servers: threads, async, sharded fleet
+# The CLI verb against live servers: both clients, sharded fleet
 # ----------------------------------------------------------------------
 def _remote(license_id="lic-s"):
     remote = SlRemote(RemoteAttestationService(accept_any_platform=True))
@@ -103,60 +103,61 @@ def _remote(license_id="lic-s"):
     return remote
 
 
-@pytest.fixture()
-def threaded_server():
-    from repro.net.server import LeaseServer
+def _serve():
+    from repro.net.aio import AsyncLeaseServer
 
-    server = LeaseServer(_remote(), port=0)
+    server = AsyncLeaseServer(_remote(), port=0)
     server.start()
+    return server
+
+
+@pytest.fixture()
+def server():
+    server = _serve()
     yield server
     server.stop()
 
 
 @pytest.fixture()
-def async_server():
-    from repro.net.aio import AsyncLeaseServer
-
-    server = AsyncLeaseServer(_remote(), port=0)
-    server.start()
+def other_server():
+    server = _serve()
     yield server
     server.stop()
 
 
 class TestStatsCliVerb:
-    def test_stats_against_threaded_server(self, threaded_server, capsys):
-        host, port = threaded_server.address
+    def test_stats_over_the_strict_ordered_client(self, server, capsys):
+        host, port = server.address
         assert main(["stats", f"sl://{host}:{port}"]) == 0
         out = capsys.readouterr().out
         assert f"{host}:{port}" in out
-        assert "[threads]" in out
+        assert "[async]" in out
         assert "renewal" in out
 
-    def test_stats_against_async_server(self, async_server, capsys):
-        host, port = async_server.address
+    def test_stats_against_async_server(self, server, capsys):
+        host, port = server.address
         assert main(["stats", f"sl+async://{host}:{port}"]) == 0
         out = capsys.readouterr().out
         assert "[async]" in out
 
-    def test_stats_probes_every_shard_of_a_fleet(self, threaded_server,
-                                                 async_server, capsys):
+    def test_stats_probes_every_shard_of_a_fleet(self, server, other_server,
+                                                 capsys):
         # An sl+sharded:// URL dials each listed server directly, so the
         # report attributes sections to the process that produced them.
-        t_host, t_port = threaded_server.address
-        a_host, a_port = async_server.address
-        url = f"sl+sharded://{t_host}:{t_port},{a_host}:{a_port}"
-        assert main(["stats", url]) == 0
+        first = "{}:{}".format(*server.address)
+        second = "{}:{}".format(*other_server.address)
+        assert main(["stats", f"sl+sharded://{first},{second}"]) == 0
         out = capsys.readouterr().out
-        assert f"{t_host}:{t_port}" in out
-        assert f"{a_host}:{a_port}" in out
+        assert first in out
+        assert second in out
 
-    def test_stats_json_is_the_raw_envelope(self, threaded_server, capsys):
-        host, port = threaded_server.address
+    def test_stats_json_is_the_raw_envelope(self, server, capsys):
+        host, port = server.address
         assert main(["stats", f"sl://{host}:{port}", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         report = payload[f"{host}:{port}"]
         stats = ServerStats.from_wire(report)
-        assert stats.io == "threads"
+        assert stats.io == "async"
         # The probe is the connection's first and only frame, and it
         # is counted once answered — after this snapshot was taken.
         assert stats.connections_accepted == 1

@@ -1,7 +1,7 @@
 """CaptureProxy + inject_frames against a live in-process server.
 
 Fast red-team plumbing tests: no subprocess fleet, just a
-:class:`LeaseServer` on a real socket with the tap in front of it.
+:class:`AsyncLeaseServer` on a real socket with the tap in front of it.
 """
 
 import pytest
@@ -10,10 +10,10 @@ from repro.core.licensefile import VENDOR_SECRET, mint_license_blob
 from repro.core.protocol import InitRequest, RenewRequest, Status
 from repro.core.sl_remote import SlRemote
 from repro.net import codec
+from repro.net.aio import AsyncLeaseServer
 from repro.net.endpoint import connect
 from repro.net.errors import TamperedFrame
 from repro.net.rpc import RpcError
-from repro.net.server import LeaseServer
 from repro.redteam.proxy import CaptureProxy, inject_frames
 from repro.sgx import RemoteAttestationService, SgxMachine
 from repro.testing.faults import NetFaultPlan
@@ -25,7 +25,7 @@ LICENSE = "lic-proxy"
 def server():
     remote = SlRemote(RemoteAttestationService(accept_any_platform=True))
     remote.issue_license(LICENSE, 100_000)
-    server = LeaseServer(remote, port=0)
+    server = AsyncLeaseServer(remote, port=0)
     server.start()
     yield server
     server.stop()

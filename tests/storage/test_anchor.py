@@ -172,6 +172,7 @@ class TestAnchoredRecovery:
         ledger = survivor.ledger("lic")
         outstanding = sum(ledger.outstanding.values())
         assert outstanding + ledger.lost_units + ledger.available == POOL
+        persistence.close()  # the "dead" process's maintenance thread
 
 
 class _GatedFile:

@@ -251,6 +251,7 @@ class TestCrashPoints:
         # second recovery sees a clean file.
         report2 = make_persistence(tmp_path).recover(fresh_remote())
         assert report2.tail_dropped_bytes == 0
+        persistence.close()  # the "dead" process's maintenance thread
 
 
 # ----------------------------------------------------------------------

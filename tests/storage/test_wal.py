@@ -754,7 +754,9 @@ class TestAttachPersistence:
         for p in persistences:
             p.close()
         again = fresh_remote()
-        reports = [p.last_report
-                   for p in attach_persistence(again, str(tmp_path))]
+        persistences = attach_persistence(again, str(tmp_path))
+        reports = [p.last_report for p in persistences]
         assert again.ledger("lic").total_gcl == POOL
         assert reports[0] is not None
+        for p in persistences:
+            p.close()
