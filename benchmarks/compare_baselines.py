@@ -14,8 +14,9 @@ fails when a headline metric regressed past the tolerance:
 
 Smoke-scale reruns are not comparable to full-scale baselines, so a
 file whose ``smoke`` flag differs from its baseline is reported and
-skipped rather than failed — CI's reduced-scale runs only rewrite the
-artifacts they are allowed to (see each bench's persistence rules).
+skipped rather than failed.  A smoke run writes its copy under the
+gitignored ``.bench_out/``, never over the committed file, and that
+copy is the one checked when it exists.
 
 Usage::
 
@@ -108,7 +109,9 @@ def _committed(ref, name):
 def compare(ref="HEAD", tolerance=0.2):
     failures, report = [], []
     for name, metrics in BASELINES.items():
-        current_path = os.path.join(REPO_ROOT, name)
+        current_path = os.path.join(REPO_ROOT, ".bench_out", name)
+        if not os.path.exists(current_path):
+            current_path = os.path.join(REPO_ROOT, name)
         if not os.path.exists(current_path):
             report.append(f"{name}: missing from the working tree (skipped)")
             continue

@@ -396,7 +396,10 @@ Q_REPLICAS = 2
 Q_QUORUM = (Q_REPLICAS + 1) // 2  # the serve-remote default
 Q_WARMUP = 2.0 if QUORUM_SMOKE else 2.5
 Q_CHAOS = 2.0 if QUORUM_SMOKE else 3.0
-BENCH_QUORUM_JSON = os.path.join(REPO_ROOT, "BENCH_quorum.json")
+#: A smoke run writes under the gitignored ``.bench_out/``, never over
+#: the committed full-scale record.
+BENCH_QUORUM_JSON = os.path.join(
+    REPO_ROOT, ".bench_out" if QUORUM_SMOKE else "", "BENCH_quorum.json")
 
 
 def _server_stats_of(port):
@@ -526,7 +529,8 @@ def test_two_simultaneous_deaths_promote_by_quorum(tmp_path, benchmark,
     )
 
     # Unlike the single-kill bench this file always persists results:
-    # the CI smoke step uploads BENCH_quorum.json as its run artifact.
+    # the CI smoke step uploads .bench_out/BENCH_quorum.json as its run
+    # artifact.
     payload = {
         "benchmark": "quorum_two_shard_kill",
         "smoke": QUORUM_SMOKE,
@@ -546,6 +550,7 @@ def test_two_simultaneous_deaths_promote_by_quorum(tmp_path, benchmark,
         "double_grants": len(double_grants),
         "failed_calls": len(failures),
     }
+    os.makedirs(os.path.dirname(BENCH_QUORUM_JSON), exist_ok=True)
     with open(BENCH_QUORUM_JSON, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

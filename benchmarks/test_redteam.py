@@ -15,8 +15,10 @@ invariant broke under attack.
 
 ``SL_REDTEAM_SMOKE=1`` shrinks the crowds and chaos windows for CI;
 the gates are identical at both scales — a breach in a small campaign
-is still a breach.  The JSON is always written (smoke included): the
-CI step uploads it as the run's adversarial audit artifact.
+is still a breach.  The JSON is always written (smoke included): a
+smoke run writes ``.bench_out/BENCH_redteam.json`` (gitignored, never
+over the committed full-scale record), which the CI step uploads as
+the run's adversarial audit artifact.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from repro.redteam.campaigns import CAMPAIGN_NAMES, run_campaigns
 
 SMOKE = bool(os.environ.get("SL_REDTEAM_SMOKE"))
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_JSON = os.path.join(REPO_ROOT, "BENCH_redteam.json")
+BENCH_JSON = os.path.join(
+    REPO_ROOT, ".bench_out" if SMOKE else "", "BENCH_redteam.json")
 
 
 def test_campaigns_all_defended(tmp_path, benchmark, table_printer):
@@ -77,7 +80,7 @@ def test_campaigns_all_defended(tmp_path, benchmark, table_printer):
     assert merged.renewals_served > 0
 
     # Always persisted — the zero-gates are this file's whole point and
-    # the CI smoke step uploads BENCH_redteam.json as its artifact.
+    # the CI smoke step uploads the smoke copy as its artifact.
     payload = {
         "benchmark": "redteam_campaigns",
         "smoke": SMOKE,
@@ -97,6 +100,7 @@ def test_campaigns_all_defended(tmp_path, benchmark, table_printer):
         "licenses_audited": merged.licenses_audited,
         "ok": merged.ok(),
     }
+    os.makedirs(os.path.dirname(BENCH_JSON), exist_ok=True)
     with open(BENCH_JSON, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

@@ -19,7 +19,7 @@ package supplies:
 * an RPC endpoint dispatching protocol messages to SL-Remote handlers
   (:mod:`repro.net.rpc`),
 * the socket server that runs SL-Remote as its own process — a
-  leader/followers pool on one selector, built for fleets of mostly-idle
+  thread pool waiting in one Linux epoll, built for fleets of mostly-idle
   connections — and a pipelining, correlation-tagged client
   (:mod:`repro.net.aio`),
 * consistent-hash sharding of the license ledgers across N servers with

@@ -1,17 +1,18 @@
-"""Leader/followers lease serving and a pipelining socket client.
+"""One-epoll lease serving and a pipelining socket client.
 
 The paper's deployment shape is one vendor SL-Remote in front of a
 large fleet of mostly-idle SL-Locals that wake up only to renew their
 sub-GCLs, on the protected application's critical path: park thousands
 of idle sockets for free, answer the one that wakes in the fewest steps.
 
-* :class:`AsyncLeaseServer` — up to ``max_workers`` threads share one
-  selector.  Exactly one, the **leader**, waits in ``select()``; when a
-  connection turns readable it disarms it, hands leadership to a
-  follower (the only cross-thread step) and itself does ``recv`` →
-  frame → decode → dispatch → encode → ``sendall``.  No request is
-  queued to another thread and no reply travels back through a loop.
-  An idle SL-Local costs one selector registration, a blocking handler
+* :class:`AsyncLeaseServer` — up to ``max_workers`` threads wait in one
+  Linux ``epoll``.  Every connection is armed ``EPOLLONESHOT``, so the
+  kernel hands a readable connection to exactly one waiting thread and
+  disarms it; that thread does ``recv`` → frame → decode → dispatch →
+  encode → ``send`` on the non-blocking socket and re-arms it with one
+  ``epoll.modify``.  No request is queued to another thread, no reply
+  travels back through a loop and no thread is woken just to wait.  An
+  idle SL-Local costs one epoll registration, a blocking handler
   (fsync, quorum wait, license lock) stalls only its own thread, and a
   half-sent frame waits in a per-connection buffer.  Handlers stay
   synchronous, so the sharding release's semantics are untouched.
@@ -32,7 +33,7 @@ correlation tag — the strict-ordered
 connection's next frame is looked at, and only then is the connection
 re-armed, so position-matching clients never see a reorder.  A request
 **with** a tag gives the connection back *before* dispatch — to the
-selector, or to the next free thread when more of a burst is already
+epoll, or to the next free thread when more of a burst is already
 buffered — so tagged requests run side by side and each reply carries
 its tag.  A connection is as pipelined as its client asked, no more.
 
@@ -48,7 +49,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import selectors
+import os
+import select
 import socket as _socket
 import threading
 import time
@@ -77,11 +79,17 @@ from repro.net.network import NetworkConditions
 from repro.sgx.driver import SgxStats, ThreadSafeSgxStats
 from repro.sim.clock import Clock, ThreadSafeClock, seconds_to_cycles
 
-#: A reply is a blocking ``sendall`` on the serving thread, so a peer
-#: that stops reading holds that thread for at most this long and is
-#: then dropped: at most ``max_workers`` stalled readers, for a bounded time.
+#: A reply goes out with one non-blocking ``send``; only a partial send
+#: waits, and the whole reply must leave within this long, so a peer
+#: that stops reading holds its thread for a bounded time and is then
+#: dropped: at most ``max_workers`` stalled readers, for a bounded time.
 SEND_TIMEOUT_SECONDS = 10.0
+#: ``stop()`` joins the whole pool against one deadline this far out.
+STOP_JOIN_SECONDS = 5.0
 _RECV_BYTES = 65536
+#: A connection is armed for one readable event: the kernel hands it to
+#: exactly one waiting thread and disarms it until ``epoll.modify``.
+_ONE_SHOT_READ = select.EPOLLIN | select.EPOLLONESHOT
 
 
 class _Connection:
@@ -97,18 +105,20 @@ class _Connection:
 
 
 class AsyncLeaseServer:
-    """Serve one SL-Remote (or a sharded fleet) from a leader/followers pool.
+    """Serve one SL-Remote (or a sharded fleet) from a thread pool that
+    waits in one ``epoll`` (Linux only).
 
     The one lease server: ``start()/stop()/wait()``, the serving
     counters, and handler dispatch with the server-owned clock/stats
     behind every wiring point (CLI, cluster, deployment, benchmarks).
 
-    ``max_workers`` caps the pool; threads are spawned as load demands,
-    one waits in ``select()`` and the rest answer requests (contending
-    only on per-license locks).  Size it to the handlers that may
-    *block* at once (fsync, quorum wait, a contended license) plus one
-    to watch the sockets.  ``max_connections`` sheds accepts beyond the
-    cap with a typed error envelope (:func:`~repro.net.stats.overload_frame`).
+    ``max_workers`` caps the pool; threads are spawned as load demands
+    and every idle one waits in the same ``epoll``, which hands each
+    readable connection to exactly one of them.  Size it to the handlers
+    that may *block* at once (fsync, quorum wait, a contended license)
+    plus one to watch the sockets.  ``max_connections`` sheds accepts
+    beyond the cap with a typed error envelope
+    (:func:`~repro.net.stats.overload_frame`).
     """
 
     def __init__(self, remote, host: str = "127.0.0.1", port: int = 0,
@@ -135,45 +145,40 @@ class AsyncLeaseServer:
         self.max_connections = max_connections
         self.wire_stats = WireStats()
         #: Guards what every serving thread updates: the counters, the
-        #: connection set and the pool bookkeeping.
+        #: connection table and the pool bookkeeping.
         self._counters_lock = threading.Lock()
         self.requests_served = 0
         self.errors_returned = 0
         self.connections_accepted = 0
         self.connections_shed = 0
-        self._connections: Set[_Connection] = set()
+        #: Open connections by file descriptor: what ``epoll`` reports.
+        self._connections: Dict[int, _Connection] = {}
         self._threads: List[threading.Thread] = []
         self._idle = 0  # pool threads not answering a request right now
-        #: Held by the leader, the one thread allowed to ``select()``.
-        #: Followers queue on it; releasing it *is* the hand-off.
-        self._leader = threading.Lock()
-        #: Disarmed connections awaiting a thread: ``(method, conn)``.
+        #: Disarmed connections awaiting a thread: ``(method, conn)``,
+        #: each announced by one unit on the ``_wake_fd`` semaphore.
         self._ready: Deque[Tuple[Callable, _Connection]] = deque()
-        self._selector: Optional[selectors.BaseSelector] = None
+        self._epoll: Optional[select.epoll] = None
         self._stopping = threading.Event()
         attach_server_stats(self.handlers, self)
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> Tuple[str, int]:
         """Bind, listen, start the first pool thread; returns (host, port)."""
-        if self._selector is not None:
+        if self._epoll is not None:
             raise RuntimeError("server already started")
         # SO_REUSEADDR included: a restart must not wait out TIME_WAIT.
         self._listener = listener = _socket.create_server(
             (self.host, self.port), backlog=self.accept_backlog)
         listener.setblocking(False)
         self.host, self.port = listener.getsockname()[:2]
-        self._wake_r, self._wake_w = _socket.socketpair()
-        self._wake_w.setblocking(False)  # a full pipe is a pending wake-up
-        self._selector = selectors.DefaultSelector()
-        # epoll/kqueue report an fd registered while a thread already
-        # waits; poll/select took a snapshot: there a re-arm wakes the leader.
-        self._wake_on_arm = not isinstance(self._selector, (
-            getattr(selectors, "EpollSelector", ()),
-            getattr(selectors, "KqueueSelector", ())))
-        self._selector.register(listener, selectors.EVENT_READ, self._accept)
-        self._selector.register(self._wake_r, selectors.EVENT_READ,
-                                lambda: self._wake_r.recv(4096))
+        # Level-triggered and read one unit at a time: one queued item
+        # wakes one thread, and a unit nobody reads (stop) wakes them all.
+        self._wake_fd = os.eventfd(
+            0, os.EFD_SEMAPHORE | os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+        self._epoll = select.epoll()
+        self._epoll.register(listener, _ONE_SHOT_READ)
+        self._epoll.register(self._wake_fd, select.EPOLLIN)
         self._spawn_worker()  # no second thread yet to race the bookkeeping
         return self.address
 
@@ -189,23 +194,27 @@ class AsyncLeaseServer:
         """Stop serving, join the pool, close every socket."""
         stopped = self._stopping.is_set()
         self._stopping.set()  # even if never started: wait() must return
-        if self._selector is None or stopped:
+        if self._epoll is None or stopped:
             return
-        self._wake()
-        for thread in self._threads:  # sees a thread a hand-off adds late
-            thread.join(timeout=5.0)
+        self._wake()  # never read once stopping: every waiter sees it
+        deadline = time.monotonic() + STOP_JOIN_SECONDS
+        for thread in self._threads:  # sees a thread a spawn adds late
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
         with self._counters_lock:
-            connections, self._connections = self._connections, set()
-        for sock in [conn.sock for conn in connections] + [
-                self._listener, self._wake_r, self._wake_w]:
+            connections, self._connections = self._connections, {}
+        for sock in [conn.sock for conn in connections.values()] + [
+                self._listener]:
             sock.close()
-        self._selector.close()
+        self._epoll.close()
+        if not any(thread.is_alive() for thread in self._threads):
+            # A handler that outlived the join may still queue a wake.
+            os.close(self._wake_fd)
 
     def wait(self) -> None:
         """Block the calling thread until :meth:`stop` (CLI foreground)."""
         self._stopping.wait()
 
-    # -- the pool: one leader in select(), followers queued on the lock --
+    # -- the pool: every idle thread waits in the one epoll ------------
     def _spawn_worker(self) -> None:
         """Under ``_counters_lock``; the new thread starts idle."""
         thread = threading.Thread(
@@ -216,74 +225,86 @@ class AsyncLeaseServer:
         thread.start()
 
     def _run(self) -> None:
-        while True:
-            with self._leader:
-                if not self._ready and not self._stopping.is_set():
-                    for key, _events in self._selector.select():
-                        if isinstance(key.data, _Connection):
-                            # Disarmed: its read side is the taker's.
-                            self._selector.unregister(key.fd)
-                            self._ready.append((self._receive, key.data))
-                        else:
-                            key.data()  # accept / drain the wake pipe
+        epoll, listener_fd, wake_fd = (
+            self._epoll, self._listener.fileno(), self._wake_fd)
+        while not self._stopping.is_set():
+            try:
+                [(fd, _mask)] = epoll.poll(-1, 1)
+            except (ValueError, OSError):
+                return  # stop() closed the epoll under this thread
+            if fd == listener_fd:
+                self._accept()
+                continue
+            if fd == wake_fd:
                 if self._stopping.is_set():
-                    return
-                if not self._ready:
+                    return  # leave the unit: it wakes the next waiter
+                try:
+                    os.eventfd_read(wake_fd)
+                except BlockingIOError:
+                    continue  # another thread took this unit
+                try:
+                    method, conn = self._ready.popleft()
+                except IndexError:
+                    self._wake()  # that was stop()'s unit: hand it back
                     continue
-                method, conn = self._ready.popleft()
-                with self._counters_lock:
-                    # Leaving select() to a follower: have one, up to the cap.
-                    self._idle -= 1
-                    if not self._idle and len(self._threads) < self.max_workers:
-                        self._spawn_worker()
+            else:
+                conn = self._connections.get(fd)
+                if conn is None:
+                    continue  # stop() already took the table
+                method = self._receive
+            with self._counters_lock:
+                # Leaving the wait: keep one thread in it, up to the cap.
+                self._idle -= 1
+                if not self._idle and len(self._threads) < self.max_workers:
+                    self._spawn_worker()
             method(conn)
             with self._counters_lock:
                 self._idle += 1
 
     def _wake(self) -> None:
-        with contextlib.suppress(BlockingIOError):
-            self._wake_w.send(b"\0")
+        os.eventfd_write(self._wake_fd, 1)
 
     def _arm(self, conn: _Connection) -> None:
-        """Give ``conn``'s read side back to the selector."""
+        """Give ``conn``'s read side back to the epoll: one ``modify``."""
         try:
-            self._selector.register(conn.sock, selectors.EVENT_READ, conn)
+            self._epoll.modify(conn.sock, _ONE_SHOT_READ)
         except (ValueError, OSError):
             return  # stop() closed it under a handler that outlived the join
-        if self._wake_on_arm:
-            self._wake()
 
     def _accept(self) -> None:
-        """Leader-side: take what the backlog holds, never blocking."""
+        """Take what the backlog holds, never blocking, then re-arm."""
         for _ in range(self.accept_backlog):
             try:
                 sock, _peer = self._listener.accept()
             except OSError:
-                return  # drained (or the peer already reset)
+                break  # drained (or the peer already reset)
+            sock.setblocking(False)
             with contextlib.suppress(OSError):
                 # Accepted sockets linger in FIN_WAIT after a stop() and
                 # would block a rebind; Nagle would only delay a reply.
                 sock.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
                 sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-            sock.settimeout(SEND_TIMEOUT_SECONDS)
             if (self.max_connections is not None
                     and self.open_connections >= self.max_connections):
                 # Over the cap: one typed error envelope, then close.
                 with self._counters_lock:
                     self.connections_shed += 1
                 with contextlib.suppress(OSError):
-                    sock.sendall(overload_frame())
+                    _send_reply(sock, overload_frame())
                 sock.close()
                 continue
             conn = _Connection(sock)
             with self._counters_lock:
                 self.connections_accepted += 1
-                self._connections.add(conn)
-            self._arm(conn)
+                self._connections[sock.fileno()] = conn
+            with contextlib.suppress(ValueError, OSError):  # see _arm
+                self._epoll.register(sock, _ONE_SHOT_READ)
+        with contextlib.suppress(ValueError, OSError):
+            self._epoll.modify(self._listener, _ONE_SHOT_READ)
 
     # -- serving: the thread that took the connection does all of it ---
     def _receive(self, conn: _Connection) -> None:
-        """The selector said readable: one ``recv``, then the frames."""
+        """The epoll said readable: one ``recv``, then the frames."""
         try:
             chunk = conn.sock.recv(_RECV_BYTES)
         except OSError:
@@ -296,7 +317,8 @@ class AsyncLeaseServer:
     def _close(self, conn: _Connection) -> None:
         """Only for the thread holding ``conn``'s read side."""
         with self._counters_lock:
-            self._connections.discard(conn)
+            # Before the close: a new accept may reuse the number.
+            self._connections.pop(conn.sock.fileno(), None)
         conn.sock.close()
 
     def _serve(self, conn: _Connection) -> None:
@@ -339,7 +361,7 @@ class AsyncLeaseServer:
                 continue
             # Tagged: give up the read side *before* dispatch, so later
             # requests run beside this one — a buffered burst on the next
-            # free pool thread, bytes still on the wire via the selector.
+            # free pool thread, bytes still on the wire via the epoll.
             if inbox:
                 self._ready.append((self._serve, conn))
                 self._wake()
@@ -369,13 +391,37 @@ class AsyncLeaseServer:
         self.wire_stats.note_encoded(len(framed))
         with conn.write_lock:
             try:
-                conn.sock.sendall(framed)
+                _send_reply(conn.sock, framed)
             except OSError:
                 # Peer gone, or SEND_TIMEOUT_SECONDS ran out mid-frame.
                 # This thread may not hold the read side: a shutdown
                 # reads as EOF to the one that does, which closes.
                 with contextlib.suppress(OSError):
                     conn.sock.shutdown(_socket.SHUT_RDWR)
+
+
+def _send_reply(sock: _socket.socket, framed: bytearray) -> None:
+    """Send ``framed`` on a non-blocking socket: one ``send``, and a wait
+    for room only if that was partial — the whole frame within
+    :data:`SEND_TIMEOUT_SECONDS`, or :class:`TimeoutError`."""
+    try:
+        sent = sock.send(framed)
+    except BlockingIOError:
+        sent = 0
+    if sent == len(framed):
+        return
+    deadline = time.monotonic() + SEND_TIMEOUT_SECONDS
+    writable = select.poll()
+    writable.register(sock, select.POLLOUT)
+    with memoryview(framed) as view:
+        while sent < len(view):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not writable.poll(remaining * 1000):
+                raise TimeoutError(
+                    f"peer read {sent} of {len(view)} reply bytes in "
+                    f"{SEND_TIMEOUT_SECONDS} s")
+            with contextlib.suppress(BlockingIOError):
+                sent += sock.send(view[sent:])
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import inspect
 import socket
+import struct
 import threading
 import time
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -321,12 +322,13 @@ class TcpTransport(Transport):
 
     One persistent connection, length-prefixed binary frames
     (:mod:`repro.net.codec`).  A request that times out or hits a
-    broken connection is retried with
-    exponential backoff up to ``max_attempts`` times; every attempt
-    charges one virtual RTT to the caller's clock (the SimulatedLink
-    accounting model), and real-world waiting happens via socket
-    timeouts.  Application-level errors reported by the server are
-    *not* retried — they surface immediately.
+    broken connection is retried with exponential backoff up to
+    ``max_attempts`` times; every attempt charges one virtual RTT to
+    the caller's clock (the SimulatedLink accounting model), and
+    real-world waiting happens in the kernel: the socket blocks under
+    ``SO_RCVTIMEO`` / ``SO_SNDTIMEO``.  Application-level errors
+    reported by the server are *not* retried — they surface
+    immediately.
 
     Connection resilience: dialing has its **own** budget
     (``reconnect_attempts`` tries with ``reconnect_backoff_seconds``
@@ -408,7 +410,13 @@ class TcpTransport(Transport):
                         self.reconnect_backoff_seconds * (2 ** (attempt - 1))
                     )
                 continue
-            sock.settimeout(self.timeout_seconds)
+            # Blocking from here on and timed by the kernel: no poll()
+            # before every send and recv, as a socket timeout would cost.
+            sock.settimeout(None)
+            timeval = struct.pack("ll", *divmod(
+                max(1, round(self.timeout_seconds * 1e6)), 1_000_000))
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
             self._sock = sock
             if self._ever_connected:
                 self.reconnects += 1
@@ -516,7 +524,10 @@ class TcpTransport(Transport):
                     ) from exc
                 except OSError as exc:
                     self.messages_dropped += 1
-                    last_error = exc
+                    # A kernel timeout reads as EAGAIN: name it for what it is.
+                    last_error = TimeoutError(
+                        f"timed out after {self.timeout_seconds} s"
+                    ) if isinstance(exc, BlockingIOError) else exc
                     self._drop_connection()
                     if attempt < self.max_attempts:
                         time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))

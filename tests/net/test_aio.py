@@ -26,6 +26,10 @@ from repro.sgx import RemoteAttestationService, SgxMachine
 from repro.sim.clock import Clock, seconds_to_cycles
 from repro.sim.rng import DeterministicRng
 
+#: A pool thread that dies of an exception fails the test it ran under.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
+
 LICENSE = "lic-aio"
 POOL = 50_000
 
@@ -449,6 +453,36 @@ class TestLeaderFollowers:
             probe.close()
         finally:
             srv.stop()
+
+    def test_stop_after_a_full_pool_joins_every_worker(self):
+        """A burst that holds all ``max_workers`` threads at once, then
+        ``stop()``: it returns well inside its join bound and leaves no
+        pool thread alive."""
+        before = set(threading.enumerate())
+
+        def workers():
+            return [thread for thread in set(threading.enumerate()) - before
+                    if thread.name.startswith("lease-aio-worker-")]
+
+        srv = self._server(max_workers=4)
+        together = threading.Barrier(4)
+        srv.handlers.register(
+            "meet", lambda tag: (together.wait(timeout=5), tag)[1])
+        srv.start()
+        try:
+            with socket.create_connection(srv.address, timeout=5) as sock:
+                sock.sendall(b"".join(
+                    _request_frame("meet", tag, index, tagged=True)
+                    for index, tag in enumerate("abcd", 1)))
+                replies = [_read_reply(sock) for _ in range(4)]
+            assert sorted(reply.deliver() for reply in replies) == list("abcd")
+            assert len(workers()) == 4
+        finally:
+            started = time.monotonic()
+            srv.stop()
+            elapsed = time.monotonic() - started
+        assert elapsed < 2.0
+        assert workers() == []
 
     def test_counters_are_exact_under_thread_contention(self, server):
         """Many callers over several sockets with a tiny switch

@@ -1,7 +1,9 @@
 """AsyncLeaseServer + TcpTransport: the strict-ordered client over real
 sockets."""
 
+import socket
 import threading
+import time
 
 import pytest
 
@@ -12,11 +14,16 @@ from repro.core.sl_remote import SlRemote
 from repro.crypto.keys import KeyGenerator
 from repro.net.aio import AsyncLeaseServer
 from repro.net.endpoint import connect
+from repro.net.errors import RetriesExhausted
 from repro.net.network import NetworkConditions
 from repro.net.rpc import RpcError
 from repro.sgx import RemoteAttestationService, SgxMachine
-from repro.sim.clock import seconds_to_cycles
+from repro.sim.clock import Clock, seconds_to_cycles
 from repro.sim.rng import DeterministicRng
+
+#: A pool thread that dies of an exception fails the test it ran under.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning")
 
 
 @pytest.fixture()
@@ -239,6 +246,30 @@ class TestTcpFailure:
             endpoint.call("init", None, clock=machine.clock)
         assert endpoint.transport.messages_dropped == 1
         assert endpoint.transport.observed_reliability == 0.0
+
+    def test_silent_server_times_out_each_attempt_and_redials(self):
+        """A listener that accepts and never answers: each attempt waits
+        out ``timeout_seconds``, drops its socket, and the next attempt
+        dials afresh; the call ends in RetriesExhausted."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            endpoint = dial(*listener.getsockname()[:2], max_attempts=2,
+                            backoff_seconds=0.001, timeout_seconds=0.2)
+            started = time.monotonic()
+            with pytest.raises(RpcError, match="2 attempts: timed out") \
+                    as excinfo:
+                endpoint.call("ledger_probe", "lic-tcp", clock=Clock())
+            elapsed = time.monotonic() - started
+            endpoint.close()
+            # The kernel completed both handshakes; nobody ever read.
+            listener.settimeout(0)
+            dialled = [listener.accept()[0] for _ in range(2)]
+            for sock in dialled:
+                sock.close()
+        assert isinstance(excinfo.value.__cause__, RetriesExhausted)
+        assert 0.4 <= elapsed < 3.0
+        transport = endpoint.transport
+        assert (transport.messages_sent, transport.messages_dropped) == (2, 2)
+        assert transport.reconnects == 1
 
     def test_tcp_cannot_bypass_the_network(self):
         endpoint = dial("127.0.0.1", 1)

@@ -127,8 +127,10 @@ class TestAnchoredRecovery:
 
         shutil.rmtree(data)                 # the rollback
         shutil.copytree(stale, data)
+        refused = make_persistence(data, anchor=anchor)
         with pytest.raises(StaleImageError):
-            make_persistence(data, anchor=anchor).recover(fresh_remote())
+            refused.recover(fresh_remote())
+        refused.wal.close()  # the handle only: a refused image ratchets nothing
 
     def test_own_image_always_recovers(self, tmp_path):
         data = tmp_path / "data"
@@ -142,10 +144,12 @@ class TestAnchoredRecovery:
         persistence.close()
 
         survivor = fresh_remote()
-        make_persistence(data, anchor=anchor).recover(survivor)
+        recovered = make_persistence(data, anchor=anchor)
+        recovered.recover(survivor)
         ledger = survivor.ledger("lic")
         outstanding = sum(ledger.outstanding.values())
         assert outstanding + ledger.lost_units + ledger.available == POOL
+        recovered.close()
 
     def test_crash_without_final_ratchet_still_boots(self, tmp_path):
         """SIGKILL semantics: the anchor may lag the WAL (the advance
@@ -168,10 +172,12 @@ class TestAnchoredRecovery:
 
         anchor = FreshnessAnchor(anchor_path)
         survivor = fresh_remote()
-        make_persistence(data, anchor=anchor).recover(survivor)  # no raise
+        recovered = make_persistence(data, anchor=anchor)
+        recovered.recover(survivor)  # no raise
         ledger = survivor.ledger("lic")
         outstanding = sum(ledger.outstanding.values())
         assert outstanding + ledger.lost_units + ledger.available == POOL
+        recovered.close()
         persistence.close()  # the "dead" process's maintenance thread
 
 

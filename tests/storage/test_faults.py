@@ -178,9 +178,11 @@ class TestCrashPoints:
         # The tmp file exists but was never renamed; the WAL was never
         # truncated — recovery sees the old snapshot plus the full tail.
         survivor = fresh_remote()
-        make_persistence(tmp_path).recover(survivor)
+        recovered = make_persistence(tmp_path)
+        recovered.recover(survivor)
         assert survivor.ledger("lic").lost_units == granted
         assert conserved(survivor, "lic", POOL)
+        recovered.close()
 
     def test_crash_after_rename_before_truncate_replays_stale_tail(
             self, tmp_path):
@@ -199,10 +201,12 @@ class TestCrashPoints:
         )
         assert snapshot is not None and snapshot["seq"] > 0
         survivor = fresh_remote()
-        report = make_persistence(tmp_path).recover(survivor)
+        recovered = make_persistence(tmp_path)
+        report = recovered.recover(survivor)
         assert report.records_replayed == 0  # all at or below watermark
         assert survivor.ledger("lic").lost_units == granted
         assert conserved(survivor, "lic", POOL)
+        recovered.close()
 
     def test_crash_at_append_never_resurrects_the_grant(self, tmp_path):
         remote = fresh_remote()
@@ -220,12 +224,14 @@ class TestCrashPoints:
             renew(remote, slid, "lic", blob)
         persistence.close()
         survivor = fresh_remote()
-        make_persistence(tmp_path).recover(survivor)
+        recovered = make_persistence(tmp_path)
+        recovered.recover(survivor)
         ledger = survivor.ledger("lic")
         assert ledger.outstanding == {}
         assert ledger.lost_units == 0  # unacknowledged, so nothing lost
         assert ledger.available == POOL
         assert conserved(survivor, "lic", POOL)
+        recovered.close()
 
     def test_torn_append_is_dropped_by_recovery(self, tmp_path):
         remote = fresh_remote()
@@ -242,15 +248,18 @@ class TestCrashPoints:
         with pytest.raises(SimulatedCrash):
             renew(remote, slid, "lic", blob)
         survivor = fresh_remote()
-        report = make_persistence(tmp_path).recover(survivor)
+        recovered = make_persistence(tmp_path)
+        report = recovered.recover(survivor)
         assert report.tail_dropped_bytes == 9
         ledger = survivor.ledger("lic")
         assert ledger.outstanding == {}
         assert ledger.available == POOL
         # The torn tail was repaired on disk, not just ignored: a
         # second recovery sees a clean file.
-        report2 = make_persistence(tmp_path).recover(fresh_remote())
-        assert report2.tail_dropped_bytes == 0
+        again = make_persistence(tmp_path)
+        assert again.recover(fresh_remote()).tail_dropped_bytes == 0
+        for each in (again, recovered):
+            each.close()
         persistence.close()  # the "dead" process's maintenance thread
 
 

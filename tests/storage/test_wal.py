@@ -83,6 +83,23 @@ def make_persistence(directory, **kwargs):
     return ShardPersistence(str(directory), **kwargs)
 
 
+@pytest.fixture()
+def recovered():
+    """``recovered(directory, remote)`` recovers ``remote`` from
+    ``directory`` and returns the report.  Every persistence it opens is
+    closed when the test is over, after its assertions."""
+    opened = []
+
+    def recover(directory, remote):
+        persistence = make_persistence(directory)
+        opened.append(persistence)
+        return persistence.recover(remote)
+
+    yield recover
+    for persistence in opened:
+        persistence.close()
+
+
 def conserved(remote, license_id, total):
     ledger = remote.ledger(license_id)
     outstanding = sum(ledger.outstanding.values())
@@ -219,11 +236,11 @@ class TestOnDiskCompatibility:
         assert snapshot["seq"] == 4
         assert sorted(snapshot["licenses"]) == ["lic", "lic-b"]
 
-    def test_parent_commit_shard_recovers(self, tmp_path):
+    def test_parent_commit_shard_recovers(self, tmp_path, recovered):
         directory = tmp_path / "shard"
         shutil.copytree(self.PARENT_SHARD, directory)
         remote = fresh_remote()
-        report = make_persistence(directory).recover(remote)
+        report = recovered(directory, remote)
         assert (report.snapshot_seq, report.records_replayed,
                 report.tail_dropped_bytes) == (4, 3, 0)
         # 5,000 + 1,250 granted, 5 returned, the rest forfeited.
@@ -462,10 +479,11 @@ class TestRecovery:
         persistence.close()  # the *log* survives; RAM state "dies" here
         return response.granted_units, slid
 
-    def test_outstanding_units_forfeited_not_resurrected(self, tmp_path):
+    def test_outstanding_units_forfeited_not_resurrected(
+            self, tmp_path, recovered):
         granted, _slid = self.populate(tmp_path)
         remote = fresh_remote()
-        report = make_persistence(tmp_path).recover(remote)
+        report = recovered(tmp_path, remote)
         ledger = remote.ledger("lic")
         assert ledger.outstanding == {}
         assert ledger.lost_units == granted
@@ -473,10 +491,10 @@ class TestRecovery:
         assert report.forfeited_units == granted
         assert conserved(remote, "lic", POOL)
 
-    def test_committed_returns_stay_returned(self, tmp_path):
+    def test_committed_returns_stay_returned(self, tmp_path, recovered):
         granted, _slid = self.populate(tmp_path, returns=5)
         remote = fresh_remote()
-        make_persistence(tmp_path).recover(remote)
+        recovered(tmp_path, remote)
         ledger = remote.ledger("lic")
         # The 5 returned units went back to the pool before the crash
         # and stay there; only the still-outstanding remainder is lost.
@@ -484,7 +502,7 @@ class TestRecovery:
         assert ledger.available == POOL - (granted - 5)
         assert conserved(remote, "lic", POOL)
 
-    def test_escrow_survives_the_crash(self, tmp_path):
+    def test_escrow_survives_the_crash(self, tmp_path, recovered):
         remote = fresh_remote()
         persistence = make_persistence(tmp_path)
         persistence.recover(remote)
@@ -497,41 +515,43 @@ class TestRecovery:
         persistence.close()
 
         remote2 = fresh_remote()
-        make_persistence(tmp_path).recover(remote2)
+        recovered(tmp_path, remote2)
         client = remote2._clients[slid]
         assert client.graceful_shutdown is True
         assert client.escrowed_root_key == 0xC0FFEE
 
-    def test_slid_watermark_advances_past_recovered_clients(self, tmp_path):
+    def test_slid_watermark_advances_past_recovered_clients(
+            self, tmp_path, recovered):
         _granted, slid = self.populate(tmp_path)
         remote = fresh_remote()
-        make_persistence(tmp_path).recover(remote)
+        recovered(tmp_path, remote)
         _machine, new_slid = init_client(remote, name="newcomer", nonce=2)
         assert new_slid > slid
 
-    def test_recovery_is_idempotent(self, tmp_path):
+    def test_recovery_is_idempotent(self, tmp_path, recovered):
         granted, _slid = self.populate(tmp_path)
         first = fresh_remote()
-        make_persistence(tmp_path).recover(first)
+        recovered(tmp_path, first)
         # The first recovery compacted the forfeiture into the snapshot;
         # recovering again must not forfeit (or lose) anything further.
         second = fresh_remote()
-        report = make_persistence(tmp_path).recover(second)
+        report = recovered(tmp_path, second)
         assert report.forfeited_units == 0
         assert second.ledger("lic").lost_units == granted
         assert second.ledger("lic").available == POOL - granted
         assert conserved(second, "lic", POOL)
 
-    def test_recovery_after_compaction_is_snapshot_only(self, tmp_path):
+    def test_recovery_after_compaction_is_snapshot_only(
+            self, tmp_path, recovered):
         self.populate(tmp_path)
         remote = fresh_remote()
-        make_persistence(tmp_path).recover(remote)
+        recovered(tmp_path, remote)
         # recover() ends in compact(): the next recovery replays nothing.
-        report = make_persistence(tmp_path).recover(fresh_remote())
+        report = recovered(tmp_path, fresh_remote())
         assert report.records_replayed == 0
         assert report.snapshot_seq > 0
 
-    def test_revoke_survives(self, tmp_path):
+    def test_revoke_survives(self, tmp_path, recovered):
         remote = fresh_remote()
         persistence = make_persistence(tmp_path)
         persistence.recover(remote)
@@ -540,10 +560,10 @@ class TestRecovery:
         remote.revoke_license("lic")
         persistence.close()
         remote2 = fresh_remote()
-        make_persistence(tmp_path).recover(remote2)
+        recovered(tmp_path, remote2)
         assert remote2.license_definition("lic").revoked is True
 
-    def test_unknown_events_are_skipped_not_fatal(self, tmp_path):
+    def test_unknown_events_are_skipped_not_fatal(self, tmp_path, recovered):
         persistence = make_persistence(tmp_path)
         persistence.wal.append("从未见过", {"mystery": True})
         persistence.wal.append("issue", {"license_id": "lic",
@@ -552,7 +572,7 @@ class TestRecovery:
                                          "tick_seconds": 0.0})
         persistence.wal.close()
         remote = fresh_remote()
-        report = make_persistence(tmp_path).recover(remote)
+        report = recovered(tmp_path, remote)
         assert report.records_skipped == 1
         assert report.records_replayed == 1
         assert remote.ledger("lic").total_gcl == POOL
@@ -716,7 +736,8 @@ class TestTornTailProperties:
             assert [r.seq for r in got] == expected_seqs
             assert good == prev_offset
 
-    def test_recovery_from_corrupted_tails_conserves_units(self, tmp_path):
+    def test_recovery_from_corrupted_tails_conserves_units(
+            self, tmp_path, recovered):
         """Full-stack version, sampled: corrupt, recover, audit the pool.
 
         The prefix that survives is some committed moment of the shard's
@@ -735,7 +756,7 @@ class TestTornTailProperties:
             if os.path.exists(snap):
                 os.remove(snap)  # force a pure log replay each round
             remote = fresh_remote()
-            report = make_persistence(tmp_path).recover(remote)
+            report = recovered(tmp_path, remote)
             assert report.tail_dropped_bytes == size - prev_offset
             ledger = remote.ledger("lic")
             assert ledger.outstanding == {}
